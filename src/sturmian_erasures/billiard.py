@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import SqrtBasisNumber, rational
+from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _sign_of, rational
 from .words import WordStream
 
 __all__ = [
@@ -67,6 +67,53 @@ class CrossingEvent:
         return {"t": str(self.t), "omega": list(self.omega)}
 
 
+def _crossings(config):
+    """Yield (m, omega) forever, in increasing time order.
+
+    omega is the ascending tuple of coordinates crossing together and m the
+    hyperplane x = m that omega[0] crosses.  Coordinate i crosses x = m at
+    t = (m - rho_i)/d_i, and t_a < t_b exactly when
+    m_a*d_b - m_b*d_a + K_ab < 0 with K_ab = rho_b*d_a - rho_a*d_b.  Each
+    comparison first adds integer enclosures of d_b, d_a and K_ab scaled by
+    2**64 over one denominator, precomputed per pair; only an interval that
+    holds 0 falls back to the exact sign of the integer vector.
+    """
+    moving = [i for i in range(3) if config.d[i].sign() > 0]
+    counters = [0 if config.rho[i].sign() == 0 else 1 for i in moving]
+    pairs = {}
+    for pa, a in enumerate(moving):
+        for pb, b in enumerate(moving[:pa]):
+            d_a, d_b = config.d[a], config.d[b]
+            k_ab = config.rho[b] * d_a - config.rho[a] * d_b
+            (vb, va, vk), _ = _common_scale(d_b, d_a, k_ab)
+            lo_b, hi_b = _enclose(vb, 64)
+            lo_a, hi_a = _enclose(va, 64)
+            lo_k, hi_k = _enclose(vk, 64)
+            rows = [
+                (key, vb.get(key, 0), va.get(key, 0), vk.get(key, 0))
+                for key in sorted(vb.keys() | va.keys() | vk.keys())
+            ]
+            pairs[pa, pb] = (lo_b, hi_b, lo_a, hi_a, lo_k, hi_k, rows)
+    while True:
+        best = [0]
+        for pos in range(1, len(moving)):
+            lo_b, hi_b, lo_a, hi_a, lo_k, hi_k, rows = pairs[pos, best[0]]
+            ma, mb = counters[pos], counters[best[0]]
+            if ma * lo_b - mb * hi_a + lo_k > 0:
+                cmp = 1
+            elif ma * hi_b - mb * lo_a + hi_k < 0:
+                cmp = -1
+            else:
+                cmp = _sign_of({key: ma * x - mb * y + z for key, x, y, z in rows})
+            if cmp < 0:
+                best = [pos]
+            elif cmp == 0:
+                best.append(pos)
+        yield counters[best[0]], tuple(map(moving.__getitem__, best))
+        for pos in best:
+            counters[pos] += 1
+
+
 def event_stream(config):
     """Yield crossing events in increasing time order, forever.
 
@@ -74,29 +121,21 @@ def event_stream(config):
     m - rho_i >= 0 and then at every following integer; coordinates with
     d_i = 0 never cross.  Simultaneous crossings fuse into one event.
     """
-    moving = [i for i in range(3) if config.d[i].sign() > 0]
-    # numerators m - rho_i; comparing t_a <= t_b cross-multiplies to keep
-    # every quantity in the exact field
-    num = []
-    for i in moving:
-        m = 0 if config.rho[i].sign() == 0 else 1
-        num.append(rational(m) - config.rho[i])
-    one = rational(1)
-    while True:
-        best = [0]
-        for pos in range(1, len(moving)):
-            cmp = (
-                num[pos] * config.d[moving[best[0]]]
-                - num[best[0]] * config.d[moving[pos]]
-            ).sign()
-            if cmp < 0:
-                best = [pos]
-            elif cmp == 0:
-                best.append(pos)
-        t = num[best[0]] / config.d[moving[best[0]]]
-        yield CrossingEvent(t=t, omega=tuple(moving[pos] for pos in best))
-        for pos in best:
-            num[pos] = num[pos] + one
+    # t = m*(1/d_i) - rho_i/d_i, both constants fixed per coordinate
+    times = {}
+    for i in range(3):
+        if config.d[i].sign() > 0:
+            inv = 1 / config.d[i]
+            x, y = inv.coords, (config.rho[i] * inv).coords
+            times[i] = [
+                (key, x.get(key, 0), y.get(key, 0))
+                for key in sorted(x.keys() | y.keys())
+            ]
+    for m, omega in _crossings(config):
+        t = SqrtBasisNumber._from_squarefree(
+            {key: m * x - y for key, x, y in times[omega[0]]}
+        )
+        yield CrossingEvent(t=t, omega=omega)
 
 
 def billiard_word(config):
@@ -105,13 +144,13 @@ def billiard_word(config):
     Each event contributes one block: its crossing coordinates in ascending
     order, so simultaneous crossings appear as "01", "02", "12" or "012".
     """
-    events = event_stream(config)
+    crossings = _crossings(config)
 
     def pump(need):
         out = []
         total = 0
         while total < need:
-            block = "".join(str(i) for i in next(events).omega)
+            block = "".join(map(str, next(crossings)[1]))
             out.append(block)
             total += len(block)
         return "".join(out)

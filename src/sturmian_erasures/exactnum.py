@@ -3,7 +3,9 @@
 Basis keys b are square-free positive integers (b = 1 carries the rational
 part).  Square roots of distinct square-free integers are linearly
 independent over the rationals, so equality, sign and floor are decidable
-with no rounding error.
+with no rounding error.  Every decision runs on integer fixed-point
+enclosures lo <= 2**k * x <= hi built from math.isqrt and refined exactly by
+doubling k; no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from fractions import Fraction
 
 __all__ = ["SqrtBasisNumber", "rational", "sqrt", "parse_number"]
 
+# parse_number rejects larger sqrt arguments: trial division of n takes about
+# sqrt(n)/2 steps, a fraction of a second at this bound.
+_SQRT_ARG_MAX = 10**12
+
 
 def _squarefree_split(k):
-    """Return (m, d) with k = m*m*d and d square-free."""
+    """Return (m, d) with k = m*m*d and d square-free, by trial division."""
     if k < 1:
         raise ValueError(f"square root argument must be a positive integer, got {k}")
     m, d, n, p = 1, 1, k, 2
@@ -33,7 +39,7 @@ def _squarefree_split(k):
     return m, d * n
 
 
-# Cached rational enclosures: sqrt(b) lies in [s, s+1] / 2**k with s = isqrt(b * 4**k).
+# Cached integer enclosures: s <= 2**k * sqrt(b) < s + 1 with s = isqrt(b * 4**k).
 _BOUND_CACHE = {}
 
 
@@ -44,6 +50,65 @@ def _sqrt_floor(b, k):
         s = math.isqrt(b << (2 * k))
         _BOUND_CACHE[key] = s
     return s
+
+
+def _enclose(ints, k):
+    """Integers lo <= 2**k * x <= hi for x = sum(c * sqrt(b)) over the
+    integer coefficients c of the square-free keys b in ints."""
+    lo = hi = 0
+    for b, c in ints.items():
+        if b == 1:
+            lo += c << k
+            hi += c << k
+            continue
+        s = _sqrt_floor(b, k)
+        lo += c * s
+        hi += c * s
+        if c > 0:
+            hi += c
+        else:
+            lo += c
+    return lo, hi
+
+
+def _sign_of(ints):
+    """Exact sign of sum(c * sqrt(b)) for integer coefficients c."""
+    if not any(c for b, c in ints.items() if b != 1):
+        c = ints.get(1, 0)
+        return (c > 0) - (c < 0)
+    k = 64
+    while True:
+        lo, hi = _enclose(ints, k)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        # A nonzero value is bounded away from 0; only precision is missing.
+        k *= 2
+
+
+def _floor_of(ints, den):
+    """floor(sum(c * sqrt(b)) / den) for integer coefficients c and den > 0."""
+    k = 64
+    while True:
+        lo, hi = _enclose(ints, k)
+        unit = den << k
+        f = lo // unit
+        if f == hi // unit:
+            return f
+        # An irrational value is never an integer, so the enclosure
+        # eventually falls inside a single unit interval.
+        k *= 2
+
+
+def _common_scale(*xs):
+    """The coefficient dicts of den*x for each x, all integer, and den > 0."""
+    den = math.lcm(*(q.denominator for x in xs for q in x._coords.values()))
+    ints = [
+        {b: q.numerator * (den // q.denominator) for b, q in x._coords.items()}
+        for x in xs
+    ]
+    return ints, den
 
 
 class SqrtBasisNumber:
@@ -66,6 +131,14 @@ class SqrtBasisNumber:
                 cleaned[d] = tot
         self._coords = cleaned
 
+    @classmethod
+    def _from_squarefree(cls, coords):
+        """Build from {square-free key: Fraction} without re-splitting keys;
+        zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self._coords = {b: q for b, q in coords.items() if q}
+        return self
+
     @property
     def coords(self):
         return dict(self._coords)
@@ -77,7 +150,7 @@ class SqrtBasisNumber:
         if isinstance(x, SqrtBasisNumber):
             return x
         if isinstance(x, (int, Fraction)):
-            return SqrtBasisNumber({1: Fraction(x)})
+            return SqrtBasisNumber._from_squarefree({1: Fraction(x)})
         return NotImplemented
 
     # -- ring operations ------------------------------------------------------
@@ -89,12 +162,14 @@ class SqrtBasisNumber:
         out = dict(self._coords)
         for b, q in other._coords.items():
             out[b] = out.get(b, 0) + q
-        return SqrtBasisNumber(out)
+        return SqrtBasisNumber._from_squarefree(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtBasisNumber({b: -q for b, q in self._coords.items()})
+        return SqrtBasisNumber._from_squarefree(
+            {b: -q for b, q in self._coords.items()}
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -112,11 +187,12 @@ class SqrtBasisNumber:
         out = {}
         for a, p in self._coords.items():
             for b, q in other._coords.items():
-                # sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)) with g = gcd(a, b)
+                # sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)) with g = gcd(a, b); the
+                # two cofactors are coprime and square-free, so the key is too
                 g = math.gcd(a, b)
                 key = (a // g) * (b // g)
                 out[key] = out.get(key, 0) + p * q * g
-        return SqrtBasisNumber(out)
+        return SqrtBasisNumber._from_squarefree(out)
 
     __rmul__ = __mul__
 
@@ -125,13 +201,22 @@ class SqrtBasisNumber:
             raise ZeroDivisionError("division by zero")
         keys = [b for b in self._coords if b != 1]
         if not keys:
-            return SqrtBasisNumber({1: 1 / self._coords[1]})
-        # Rationalize one prime at a time: with x = A + sqrt(p)*B where B collects
-        # the keys divisible by p, x * sigma_p(x) = A*A - p*B*B has no key
-        # divisible by p, so the recursion strictly shrinks the prime support.
-        p = min(min(_prime_factors(b)) for b in keys)
-        conj = SqrtBasisNumber(
-            {b: (-q if b % p == 0 else q) for b, q in self._coords.items()}
+            return SqrtBasisNumber._from_squarefree({1: 1 / self._coords[1]})
+        # Find g > 1 that divides each key or is coprime to it, by gcd
+        # refinement.  For any prime p | g the automorphism sigma_p negates
+        # exactly the keys divisible by g, and with x = A + B where B collects
+        # those keys, x * sigma_p(x) = A*A - B*B has no key divisible by a
+        # prime of g, so the recursion strictly shrinks the prime support.
+        g = keys[0]
+        split = True
+        while split:
+            split = False
+            for b in keys:
+                h = math.gcd(g, b)
+                if h not in (1, g):
+                    g, split = h, True
+        conj = SqrtBasisNumber._from_squarefree(
+            {b: (-q if b % g == 0 else q) for b, q in self._coords.items()}
         )
         return conj * (self * conj)._inverse()
 
@@ -161,63 +246,14 @@ class SqrtBasisNumber:
         return set(self._coords) <= {1}
 
     def sign(self):
-        """Exact sign in {-1, 0, +1} by interval refinement."""
-        if not self._coords:
-            return 0
-        if self.is_rational():
-            q = self._coords[1]
-            return 1 if q > 0 else -1
-        k = 64
-        while True:
-            lo = hi = Fraction(0)
-            scale = 1 << k
-            for b, q in self._coords.items():
-                if b == 1:
-                    lo += q
-                    hi += q
-                    continue
-                s = _sqrt_floor(b, k)
-                if q > 0:
-                    lo += q * Fraction(s, scale)
-                    hi += q * Fraction(s + 1, scale)
-                else:
-                    lo += q * Fraction(s + 1, scale)
-                    hi += q * Fraction(s, scale)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            # A nonzero value is bounded away from 0; only precision is missing.
-            k *= 2
+        """Exact sign in {-1, 0, +1} by integer interval refinement."""
+        (ints,), _ = _common_scale(self)
+        return _sign_of(ints)
 
     def floor(self):
         """The unique integer m with m <= x < m + 1."""
-        if self.is_rational():
-            q = self._coords.get(1, Fraction(0))
-            return q.numerator // q.denominator
-        k = 64
-        while True:
-            lo = hi = Fraction(0)
-            scale = 1 << k
-            for b, q in self._coords.items():
-                if b == 1:
-                    lo += q
-                    hi += q
-                    continue
-                s = _sqrt_floor(b, k)
-                if q > 0:
-                    lo += q * Fraction(s, scale)
-                    hi += q * Fraction(s + 1, scale)
-                else:
-                    lo += q * Fraction(s + 1, scale)
-                    hi += q * Fraction(s, scale)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            # An irrational value is never an integer, so the enclosure
-            # eventually falls inside a single unit interval.
-            k *= 2
+        (ints,), den = _common_scale(self)
+        return _floor_of(ints, den)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -267,23 +303,9 @@ class SqrtBasisNumber:
         return f"SqrtBasisNumber({self._coords!r})"
 
 
-def _prime_factors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def rational(q):
     """Embed an integer or Fraction."""
-    return SqrtBasisNumber({1: Fraction(q)})
+    return SqrtBasisNumber._from_squarefree({1: Fraction(q)})
 
 
 def sqrt(k):
@@ -344,5 +366,7 @@ def _eval_node(node):
         q = arg.coords.get(1, Fraction(0))
         if q.denominator != 1 or q <= 0:
             raise ValueError(f"sqrt argument must be a positive integer, got {q}")
+        if q > _SQRT_ARG_MAX:
+            raise ValueError(f"sqrt argument {q} exceeds the limit {_SQRT_ARG_MAX}")
         return sqrt(q.numerator)
     raise ValueError(f"unsupported expression element: {ast.dump(node)}")

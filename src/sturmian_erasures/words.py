@@ -157,7 +157,7 @@ def fibonacci_stream():
 
 def mechanical_stream(alpha, rho):
     """The word s(n) = floor((n+1)a + r) - floor(na + r), exact arithmetic."""
-    from .exactnum import SqrtBasisNumber
+    from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _floor_of
 
     if not isinstance(alpha, SqrtBasisNumber) or not isinstance(rho, SqrtBasisNumber):
         raise ValueError("alpha and rho must be SqrtBasisNumber values")
@@ -166,20 +166,30 @@ def mechanical_stream(alpha, rho):
     if not (rho.sign() >= 0 and (rho - 1).sign() < 0):
         raise ValueError("rho must satisfy 0 <= rho < 1")
 
-    state = {"value": rho, "floor": 0}
+    # With den*alpha and den*rho integer vectors enclosed as
+    # [lo, hi] / 2**64, n*alpha + rho lies in [n*lo_a + lo_r, n*hi_a + hi_r]
+    # / unit; when both ends share a floor it is the exact one.  Rational
+    # inputs have lo == hi, so only an irrational value near an integer
+    # falls back to the exact floor.
+    (a, r), den = _common_scale(alpha, rho)
+    lo_a, hi_a = _enclose(a, 64)
+    lo_r, hi_r = _enclose(r, 64)
+    unit = den << 64
+    keys = a.keys() | r.keys()
+    state = {"n": 0, "floor": 0}
 
     def pump(need):
         # 0 < alpha < 1, so each step raises the floor by 0 or 1.
         out = []
-        value, fl = state["value"], state["floor"]
+        n, fl = state["n"], state["floor"]
         for _ in range(max(need, 64)):
-            value = value + alpha
-            if (value - (fl + 1)).sign() >= 0:
-                fl += 1
-                out.append("1")
-            else:
-                out.append("0")
-        state["value"], state["floor"] = value, fl
+            n += 1
+            f = (n * lo_a + lo_r) // unit
+            if f != (n * hi_a + hi_r) // unit:
+                f = _floor_of({b: n * a.get(b, 0) + r.get(b, 0) for b in keys}, den)
+            out.append("1" if f > fl else "0")
+            fl = f
+        state["n"], state["floor"] = n, fl
         return "".join(out)
 
     return WordStream(pump, "mechanical")

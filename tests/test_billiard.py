@@ -4,6 +4,7 @@ import pytest
 
 from sturmian_erasures import (
     BilliardConfig,
+    CrossingEvent,
     apply_stream,
     balance_order,
     billiard_word,
@@ -29,6 +30,70 @@ GOLDEN = BilliardConfig(
 
 def _events(config, count):
     return list(itertools.islice(event_stream(config), count))
+
+
+def _reference_events(config):
+    """Naive pairwise ordering: t_a < t_b is decided as the sign of
+    (m_a - rho_a)*d_b - (m_b - rho_b)*d_a in exact SqrtBasisNumber arithmetic,
+    and each t is the quotient (m - rho_i)/d_i."""
+    moving = [i for i in range(3) if config.d[i].sign() > 0]
+    num = [
+        rational(0 if config.rho[i].sign() == 0 else 1) - config.rho[i] for i in moving
+    ]
+    while True:
+        best = [0]
+        for pos in range(1, len(moving)):
+            cmp = (
+                num[pos] * config.d[moving[best[0]]]
+                - num[best[0]] * config.d[moving[pos]]
+            ).sign()
+            if cmp < 0:
+                best = [pos]
+            elif cmp == 0:
+                best.append(pos)
+        t = num[best[0]] / config.d[moving[best[0]]]
+        yield CrossingEvent(t=t, omega=tuple(moving[pos] for pos in best))
+        for pos in best:
+            num[pos] = num[pos] + rational(1)
+
+
+# Every crossing of coordinate 1 coincides with every second crossing of
+# coordinate 2: an exact irrational tie, where no enclosure can decide.
+TIE = BilliardConfig(d=(1, sqrt(2), parse_number("2*sqrt(2)")), rho=(0, 0, 0))
+
+# Every config used elsewhere in this file, the tie config, and a rational
+# direction, where every enclosure is exact.
+EQUIVALENCE_CONFIGS = [
+    GOLDEN,
+    BilliardConfig(d=(1, 1, 0), rho=(0, 0, 0)),
+    BilliardConfig(d=(1, 1, 0), rho=(0, parse_number("1/2"), 0)),
+    BilliardConfig(d=(sqrt(2), 1, sqrt(3)), rho=(0, 0, 0)),
+    BilliardConfig(d=(1, 2, 0), rho=(0, parse_number("1/3"), 0)),
+    BilliardConfig(d=(0, 1, THETA), rho=(0, 0, 0)),
+    BilliardConfig(
+        d=(1, sqrt(2), sqrt(3)),
+        rho=(0, parse_number("sqrt(2)/2"), parse_number("sqrt(3)/3")),
+    ),
+    BilliardConfig(d=(2, 3, 6), rho=(0, 0, 0)),
+    BilliardConfig(d=(1, 1, sqrt(2)), rho=(0, 0, 0)),
+    BilliardConfig(d=(0, 0, 1), rho=(0, 0, 0)),
+    BilliardConfig(d=(0, sqrt(2), sqrt(8)), rho=(0, 0, 0)),
+    TIE,
+    BilliardConfig(d=(3, 5, 7), rho=(0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS)
+def test_fast_path_matches_reference_ordering(config):
+    expected = list(itertools.islice(_reference_events(config), 400))
+    assert _events(config, 400) == expected
+    word = "".join("".join(map(str, e.omega)) for e in expected)
+    assert billiard_word(config).prefix(400) == word[:400]
+
+
+def test_tie_config_fuses_events():
+    omegas = [e.omega for e in _events(TIE, 400)]
+    assert omegas.count((0, 1, 2)) == 1 and omegas.count((1, 2)) > 50
 
 
 def test_config_validation():

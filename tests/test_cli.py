@@ -347,6 +347,20 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_oversized_sqrt_argument_exits_two(capsys):
+    code, out, err = _run(
+        capsys,
+        "billiard",
+        "code",
+        "--d",
+        "1,1,sqrt(1000000000039*1000000000061)",
+        "--rho",
+        "0,0,0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code, _, err = _run(
         capsys, "word", "erase", "--letter", "2", "--file", str(tmp_path / "nope")

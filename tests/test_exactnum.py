@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sturmian_erasures import SqrtBasisNumber, parse_number, rational, sqrt
+from sturmian_erasures.exactnum import _enclose
 
 
 def test_sqrt2_squares_to_two():
@@ -34,6 +35,29 @@ def test_floor_examples():
     assert slope.floor() == 0
     assert rational(Fraction(-7, 2)).floor() == -4
     assert rational(3).floor() == 3
+
+
+def _pell(n):
+    """(p, q) with p + q*sqrt(2) = (1 + sqrt(2))**n, so p - q*sqrt(2) = (1 - sqrt(2))**n."""
+    p, q = 1, 0
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+@pytest.mark.parametrize("n", [66, 67])
+def test_sign_and_floor_refine_past_first_precision(n):
+    p, q = _pell(n)
+    assert 10**24 < q < 10**26
+    # |p - q*sqrt(2)| < 2**-64, so the first enclosure holds 0 and k must double.
+    lo, hi = _enclose({1: p, 2: -q}, 64)
+    assert lo <= 0 <= hi
+    x = rational(p) - rational(q) * sqrt(2)
+    assert x.sign() == (-1) ** n
+    assert (-x).sign() == -((-1) ** n)
+    assert x.floor() == (0 if n % 2 == 0 else -1)
+    assert (x + rational(7)).floor() == (7 if n % 2 == 0 else 6)
+    assert (x / rational(3)).floor() == (0 if n % 2 == 0 else -1)
 
 
 def test_floor_brackets_value():
@@ -121,6 +145,14 @@ def test_parse_number_examples():
 def test_parse_number_rejects(text):
     with pytest.raises(ValueError):
         parse_number(text)
+
+
+def test_parse_number_bounds_sqrt_argument():
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_number("sqrt(1000000000039*1000000000061)")
+    # the largest prime below the bound still factors quickly
+    assert parse_number("sqrt(999999999989)") == sqrt(999999999989)
+    assert parse_number("sqrt(1000000000000)") == rational(10**6)
 
 
 def test_str_canonical_and_round_trips():

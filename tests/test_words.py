@@ -101,6 +101,49 @@ def test_mechanical_examples():
     assert mechanical_stream(slope, slope).prefix(2000) == fib_prefix(2000)
 
 
+def _standard_word(partial_quotients, length):
+    """0 c_a for a = [0; a1, a2, ...] from the standard-word recurrence
+    s_(-1) = 1, s_0 = 0, s_n = s_(n-1)^(d_n) s_(n-2) with d_1 = a1 - 1 and
+    d_n = a_n (Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
+    prev, cur = "1", "0"
+    for n, a in enumerate(partial_quotients, 1):
+        prev, cur = cur, cur * (a - 1 if n == 1 else a) + prev
+        if len(cur) > length:
+            return ("0" + cur)[:length]
+    raise AssertionError("too few partial quotients")
+
+
+@pytest.mark.parametrize(
+    "slope, quotients",
+    [
+        ("sqrt(2)-1", [2] * 40),  # [0; 2, 2, 2, ...]
+        ("(sqrt(3)-1)/2", [2, 1] * 40),  # [0; 2, 1, 2, 1, ...]
+        ("(3-sqrt(5))/2", [2] + [1] * 60),  # [0; 2, 1, 1, 1, ...]
+    ],
+)
+def test_mechanical_matches_standard_word(slope, quotients):
+    w = mechanical_stream(parse_number(slope), rational(0)).prefix(5000)
+    assert w == _standard_word(quotients, 5000)
+
+
+@pytest.mark.parametrize("p, q, u", [(1, 2, 0), (3, 7, 2), (5, 8, 7), (1, 97, 50), (96, 97, 96)])
+def test_mechanical_rational_floor_formula(p, q, u):
+    w = mechanical_stream(parse_number(f"{p}/{q}"), parse_number(f"{u}/{q}")).prefix(1000)
+    assert w == "".join(
+        str(((n + 1) * p + u) // q - (n * p + u) // q) for n in range(1000)
+    )
+
+
+@pytest.mark.parametrize("rho", ["8-5*sqrt(2)", "sqrt(2)/2", "0"])
+def test_mechanical_matches_exact_floors(rho):
+    # With rho = 8 - 5*sqrt(2), 5*alpha + rho is exactly the integer 3, so the
+    # enclosure straddles it and the exact floor decides.
+    alpha, rho = parse_number("sqrt(2)-1"), parse_number(rho)
+    w = mechanical_stream(alpha, rho).prefix(300)
+    floors = [(alpha * n + rho).floor() for n in range(301)]
+    assert w == "".join(str(b - a) for a, b in zip(floors, floors[1:]))
+
+
 def test_mechanical_irrational_complexity():
     slope = parse_number("(3-sqrt(5))/2")
     w = mechanical_stream(slope, rational(0)).prefix(2000)
