@@ -2,7 +2,8 @@
 
 Exit status: 0 when the analysis accepts (or simply reports), 1 when a
 verdict refutes or rejects, 2 on usage or input errors.  Words are read from
-the positional argument, from --file, or from standard input.
+the positional argument, from --file, or from standard input.  Generated
+prefixes are at most MAX_LENGTH (10^7) letters long.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import json
 import sys
 from functools import lru_cache
+from itertools import islice
 
 from .billiard import BilliardConfig, billiard_word, classify, event_stream
 from .exactnum import parse_number
@@ -41,6 +43,8 @@ __all__ = ["build_parser", "parse_morphism_spec", "run", "main"]
 
 DEFAULT_LENGTH = 10_000
 DEFAULT_MAX_N = 30
+# Generated prefixes are built in memory, so their length is capped.
+MAX_LENGTH = 10_000_000
 
 
 def parse_morphism_spec(text):
@@ -91,18 +95,26 @@ def _emit_word(args, word):
     return 0
 
 
+def _generated_length(args):
+    if args.length > MAX_LENGTH:
+        raise ValueError(f"--length {args.length} exceeds the ceiling {MAX_LENGTH}")
+    return args.length
+
+
 def _cmd_word_fib(args):
-    return _emit_word(args, fibonacci_stream().prefix(args.length))
+    return _emit_word(args, fibonacci_stream().prefix(_generated_length(args)))
 
 
 def _cmd_word_mechanical(args):
+    length = _generated_length(args)
     stream = mechanical_stream(parse_number(args.alpha), parse_number(args.rho))
-    return _emit_word(args, stream.prefix(args.length))
+    return _emit_word(args, stream.prefix(length))
 
 
 def _cmd_word_fixed_point(args):
+    length = _generated_length(args)
     f = parse_morphism_spec(args.spec)
-    return _emit_word(args, fixed_point_stream(f, args.seed).prefix(args.length))
+    return _emit_word(args, fixed_point_stream(f, args.seed).prefix(length))
 
 
 def _cmd_word_erase(args):
@@ -319,18 +331,24 @@ def _billiard_config(args):
 
 
 def _cmd_billiard_code(args):
+    length = _generated_length(args)
     config = _billiard_config(args)
     if args.format == "text":
-        print(billiard_word(config).prefix(args.length))
+        print(billiard_word(config).prefix(length))
         return 0
-    events = event_stream(config)
-    log = [next(events).to_json() for _ in range(args.length)]
+    # The log is written event by event, so memory stays flat in --length.
+    log = (e.to_json() for e in islice(event_stream(config), length))
     if args.format == "json":
-        _print_json(log)
+        # The bytes _print_json would print for the whole list.
+        encode = json.JSONEncoder(sort_keys=True).encode
+        sys.stdout.write("[")
+        for i, e in enumerate(log):
+            sys.stdout.write((", " if i else "") + encode(e))
+        print("]")
     else:
         _print_csv(
             ["t", "omega"],
-            [[e["t"], "".join(str(i) for i in e["omega"])] for e in log],
+            ([e["t"], "".join(str(i) for i in e["omega"])] for e in log),
         )
     return 0
 
@@ -344,8 +362,9 @@ def _cmd_billiard_classify(args):
     return 0
 
 
-def _add_length(p, default=DEFAULT_LENGTH):
-    p.add_argument("--length", type=int, default=default, help="prefix length")
+def _add_length(p, generated=True):
+    limit = f" (at most {MAX_LENGTH})" if generated else ""
+    p.add_argument("--length", type=int, default=DEFAULT_LENGTH, help="prefix length" + limit)
 
 
 @lru_cache(maxsize=1)
@@ -396,7 +415,7 @@ def build_parser():
         p = analyze_sub.add_parser(name)
         _add_word_input(p)
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-        _add_length(p)
+        _add_length(p, generated=False)
         _add_format(p)
         p.set_defaults(handler=handler)
 

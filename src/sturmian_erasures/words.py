@@ -4,12 +4,24 @@ complexity / balance / periodicity analyzers.
 Finite words are plain strings over "012".  Infinite words are WordStream
 values: append-only prefix buffers fed by a pump, so prefix(L) is always a
 prefix of prefix(L') for L <= L'.
+
+The factor complexity P(n) comes from one suffix automaton (Blumer et
+al., 1985), built in one pass: each state holds the factors of lengths
+len(link)+1 .. len(state), so a difference array over those ranges gives
+every P(n) at once.  The imbalance comes from the gaps between letter
+positions, scanned at C level: an n-window holds at most as many of a set
+of positions as there are k whose shortest window holding k of them fits
+in n letters, and at least as many as there are k whose longest window
+holding only k of them is shorter than n.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import sub
 
 from .morphisms import apply
 
@@ -35,6 +47,7 @@ __all__ = [
 ]
 
 ALPHABET = "012"
+_LETTERS = frozenset(ALPHABET)
 
 
 class BoundedOutputError(RuntimeError):
@@ -42,7 +55,7 @@ class BoundedOutputError(RuntimeError):
 
 
 def check_word(w):
-    if any(c not in ALPHABET for c in w):
+    if not set(w) <= _LETTERS:
         bad = next(c for c in w if c not in ALPHABET)
         raise ValueError(f"letter {bad!r} outside alphabet 012")
     return w
@@ -256,46 +269,106 @@ class BalanceProfile:
     prefix_length: int
 
 
-def _default_max_n(prefix):
-    return min(64, math.isqrt(len(prefix)))
+def _checked_max_n(prefix, max_n):
+    """Validate the prefix and max_n (default min(64, isqrt(len)))."""
+    check_word(prefix)
+    if max_n is None:
+        max_n = min(64, math.isqrt(len(prefix)))
+    if not 1 <= max_n <= len(prefix):
+        raise ValueError(f"max_n {max_n} out of range for prefix of length {len(prefix)}")
+    return max_n
 
 
 def complexity(prefix, max_n=None):
-    check_word(prefix)
-    if max_n is None:
-        max_n = _default_max_n(prefix)
-    if not 1 <= max_n <= len(prefix):
-        raise ValueError(f"max_n {max_n} out of range for prefix of length {len(prefix)}")
+    max_n = _checked_max_n(prefix, max_n)
+    # Suffix automaton, preallocated for its at most 2L states: trans[c][v]
+    # is the target of state v on letter c, or -1 (one flat list per letter).
+    letters = sorted(set(prefix))
+    code = {c: i for i, c in enumerate(letters)}
+    cap = 2 * len(prefix) + 1
+    trans = [[-1] * cap for _ in letters]
+    link = [0] * cap
+    link[0] = -1
+    length = [0] * cap
+    last, size = 0, 1
+    for c in map(code.__getitem__, prefix):
+        t = trans[c]
+        cur = size
+        size += 1
+        length[cur] = length[last] + 1
+        p = last
+        while p != -1 and t[p] == -1:
+            t[p] = cur
+            p = link[p]
+        if p != -1:
+            q = t[p]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = size
+                size += 1
+                length[clone] = length[p] + 1
+                link[clone] = link[q]
+                for u in trans:
+                    u[clone] = u[q]
+                while p != -1 and t[p] == q:
+                    t[p] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+    # State v holds one factor of each length len(link(v))+1 .. len(v).
+    diff = [0] * (max_n + 2)
+    for v in range(1, size):
+        lo = length[link[v]] + 1
+        if lo <= max_n:
+            diff[lo] += 1
+            diff[min(length[v], max_n) + 1] -= 1
     counts = {}
+    run = 0
     for n in range(1, max_n + 1):
-        counts[n] = len({prefix[i : i + n] for i in range(len(prefix) - n + 1)})
+        run += diff[n]
+        counts[n] = run
     return ComplexityProfile(max_n=max_n, counts=counts, prefix_length=len(prefix))
 
 
 def balance_order(prefix, max_n=None):
-    check_word(prefix)
-    if max_n is None:
-        max_n = _default_max_n(prefix)
-    if not 1 <= max_n <= len(prefix):
-        raise ValueError(f"max_n {max_n} out of range for prefix of length {len(prefix)}")
-    letters = sorted(set(prefix))
-    cum = {}
-    for a in letters:
-        acc = [0]
-        run = 0
-        for c in prefix:
-            run += 1 if c == a else 0
-            acc.append(run)
-        cum[a] = acc
-    imbalance = {}
+    max_n = _checked_max_n(prefix, max_n)
     length = len(prefix)
-    for n in range(1, max_n + 1):
-        worst = 0
-        for a in letters:
-            acc = cum[a]
-            vals = [acc[i + n] - acc[i] for i in range(length - n + 1)]
-            worst = max(worst, max(vals) - min(vals))
-        imbalance[n] = worst
+    # A letter and its complement have the same spread of window counts, so
+    # take whichever position set is sparser, once per distinct set.
+    position_sets = []
+    for a in sorted(set(prefix)):
+        sparser = a.__ne__ if 2 * prefix.count(a) > length else a.__eq__
+        p = list(compress(range(length), map(sparser, prefix)))
+        if p and p not in position_sets:
+            position_sets.append(p)
+    spans = []
+    for p in position_sets:
+        # shortest[k-1]: shortest window holding k positions; at most
+        # #{k : shortest <= n} of them fit in an n-window.
+        shortest = [1]
+        while len(shortest) < len(p):
+            g = min(map(sub, islice(p, len(shortest), None), p)) + 1
+            if g > max_n:
+                break
+            shortest.append(g)
+        # longest[k]: longest window holding only k positions; at least
+        # #{k : longest < n} of them lie in every n-window.
+        q = [-1, *p, length]
+        longest = []
+        while True:
+            big = max(map(sub, islice(q, len(longest) + 1, None), q)) - 1
+            if big >= max_n:
+                break
+            longest.append(big)
+        spans.append((shortest, longest))
+    imbalance = {
+        n: max(
+            (bisect_right(shortest, n) - bisect_left(longest, n) for shortest, longest in spans),
+            default=0,
+        )
+        for n in range(1, max_n + 1)
+    }
     return BalanceProfile(
         max_n=max_n,
         imbalance=imbalance,
@@ -379,7 +452,7 @@ class WSEVerdict:
 
 def wse_verdict(prefix, max_n):
     """Erase each letter and test the Sturmian verdict of the projection."""
-    check_word(prefix)
+    max_n = _checked_max_n(prefix, max_n)
     per = {}
     witness = None
     for i in ALPHABET:

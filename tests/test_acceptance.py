@@ -212,7 +212,7 @@ def test_criterion_09_balance_orders():
         image = apply(psi(n).psi, F)[:10_000]
         assert balance_order(image, 50).order == 2
     elapsed = time.perf_counter() - t0
-    _report(9, "balance order 2 for images, 1 for the base word", elapsed, 5.0)
+    _report(9, "balance order 2 for images, 1 for the base word", elapsed, 1.0)
 
 
 def test_criterion_10_complexity_regimes():

@@ -361,6 +361,28 @@ def test_oversized_sqrt_argument_exits_two(capsys):
     assert err.startswith("error:") and "exceeds the limit" in err
 
 
+def test_wse_max_n_error_names_the_input_length(capsys):
+    code, out, err = _run(capsys, "analyze", "wse", "012012", "--max-n", "0")
+    assert code == 2 and out == ""
+    assert err == "error: max_n 0 out of range for prefix of length 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["word", "fib"],
+        ["word", "mechanical", "--alpha", "1/2"],
+        ["word", "fixed-point", "--spec", "0=01,1=0"],
+        ["billiard", "code", "--d", "1,1,0", "--rho", "0,0,0", "--format", "json"],
+    ],
+)
+def test_length_above_ceiling_exits_two(capsys, argv):
+    # Rejected before any letter is generated, so this returns at once.
+    code, out, err = _run(capsys, *argv, "--length", "10000000000")
+    assert code == 2 and out == ""
+    assert err == "error: --length 10000000000 exceeds the ceiling 10000000\n"
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code, _, err = _run(
         capsys, "word", "erase", "--letter", "2", "--file", str(tmp_path / "nope")

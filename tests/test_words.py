@@ -17,11 +17,12 @@ from sturmian_erasures import (
     parse_morphism,
     parse_number,
     period_scan,
+    psi,
     rational,
     sturmian_verdict,
     wse_verdict,
 )
-from sturmian_erasures.morphisms import ID2, PHI
+from sturmian_erasures.morphisms import ID2, PHI, compose
 
 from conftest import fib_prefix
 
@@ -201,6 +202,85 @@ def test_complexity_subadditive():
         for m in range(1, 6):
             for n in range(1, 6):
                 assert p.counts[m + n] <= p.counts[m] * p.counts[n]
+
+
+def _naive_complexity(w, max_n):
+    """P(n) from one set of length-n slices per n."""
+    return {n: len({w[i : i + n] for i in range(len(w) - n + 1)}) for n in range(1, max_n + 1)}
+
+
+def _naive_imbalance(w, max_n):
+    """Largest spread of one letter's count over n-windows, from prefix sums."""
+    cum = []
+    for a in sorted(set(w)):
+        acc = [0]
+        for c in w:
+            acc.append(acc[-1] + (c == a))
+        cum.append(acc)
+    out = {}
+    for n in range(1, max_n + 1):
+        worst = 0
+        for acc in cum:
+            vals = [acc[i + n] - acc[i] for i in range(len(w) - n + 1)]
+            worst = max(worst, max(vals) - min(vals))
+        out[n] = worst
+    return out
+
+
+def _assert_matches_naive(w):
+    """complexity and balance_order equal the references for every max_n."""
+    counts, imbalance = _naive_complexity(w, len(w)), _naive_imbalance(w, len(w))
+    for max_n in range(1, len(w) + 1):
+        assert complexity(w, max_n).counts == {n: counts[n] for n in range(1, max_n + 1)}
+        b = balance_order(w, max_n)
+        assert b.imbalance == {n: imbalance[n] for n in range(1, max_n + 1)}
+        assert b.order == max(b.imbalance.values())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_analyzers_match_naive_on_random_words(size):
+    rng = random.Random(20 + size)
+    for length in range(1, 81):
+        letters = rng.sample("012", size)
+        _assert_matches_naive("".join(rng.choice(letters) for _ in range(length)))
+
+
+def test_analyzers_match_naive_with_a_dense_letter():
+    # One letter above density 1/2, so balance_order takes the positions of
+    # the other letters.
+    rng = random.Random(31)
+    for length in range(1, 81):
+        dense = rng.choice("012")
+        others = [a for a in "012" if a != dense][: rng.randint(1, 2)]
+        weight = rng.uniform(0.55, 0.95)
+        _assert_matches_naive(
+            "".join(dense if rng.random() < weight else rng.choice(others) for _ in range(length))
+        )
+
+
+def test_analyzers_match_naive_on_long_analysis_words():
+    member = parse_morphism("0=02,1=10,2=")
+    images = [PHI, member, psi(3).psi, compose(parse_morphism("0=0,1=1,2=012"), member)]
+    F = fib_prefix(3000)
+    for f in images:
+        w = apply(f, F)[:3000]
+        assert complexity(w, 64).counts == _naive_complexity(w, 64)
+        assert balance_order(w, 64).imbalance == _naive_imbalance(w, 64)
+
+
+def test_analyzers_match_naive_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="012", min_size=1, max_size=120), st.data())
+    def check(w, data):
+        max_n = data.draw(st.integers(1, len(w)))
+        assert complexity(w, max_n).counts == _naive_complexity(w, max_n)
+        assert balance_order(w, max_n).imbalance == _naive_imbalance(w, max_n)
+
+    check()
 
 
 def test_balance_examples():
