@@ -3,7 +3,12 @@
 Exit status: 0 when the analysis accepts (or simply reports), 1 when a
 verdict refutes or rejects, 2 on usage or input errors.  Words are read from
 the positional argument, from --file, or from standard input.  Generated
-prefixes are at most MAX_LENGTH (10^7) letters long.
+prefixes are at most MAX_LENGTH (10^7) letters long, and `analyze` refuses
+an input longer than its --length.
+
+Every command is one handler in COMMANDS.  A handler returns
+(exit code, JSON payload, text lines, CSV rows or None), and `_emit` prints
+the view that --format selects.
 """
 
 from __future__ import annotations
@@ -12,34 +17,20 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 
 from .billiard import BilliardConfig, billiard_word, classify, event_stream
 from .exactnum import parse_number
 from .monoid import StRejection, st_membership
-from .morphisms import (
-    classify_letters,
-    compose,
-    determinant,
-    format_morphism,
-    incidence,
-    parse_morphism,
-)
+from .morphisms import (classify_letters, compose, determinant, format_morphism, incidence,
+                        parse_morphism)
 from .mse import mse_membership, primality, psi
-from .words import (
-    BoundedOutputError,
-    balance_order,
-    complexity,
-    erase,
-    fibonacci_stream,
-    fixed_point_stream,
-    mechanical_stream,
-    sturmian_verdict,
-    wse_verdict,
-)
+from .words import (BoundedOutputError, balance_order, complexity, erase, fibonacci_stream,
+                    fixed_point_stream, mechanical_stream, sturmian_verdict, wse_verdict)
 
-__all__ = ["build_parser", "parse_morphism_spec", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 DEFAULT_LENGTH = 10_000
 DEFAULT_MAX_N = 30
@@ -47,23 +38,25 @@ DEFAULT_MAX_N = 30
 MAX_LENGTH = 10_000_000
 
 
-def parse_morphism_spec(text):
-    """Morphism from the text format `0=02,1=10,2=`."""
-    return parse_morphism(text)
-
-
-def _add_format(p):
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default text)",
-    )
-
-
-def _add_word_input(p):
-    p.add_argument("word", nargs="?", help="input word (default: --file or stdin)")
-    p.add_argument("--file", help="read the input word from a file")
+def _emit(fmt, code, payload, lines, rows=None):
+    """Print one view of a result; commands without a CSV view print text."""
+    if fmt == "json":
+        if isinstance(payload, Iterator):
+            # A log written item by item, so memory stays flat in its length:
+            # the bytes json.dumps would give for the whole list.
+            encode = json.JSONEncoder(sort_keys=True).encode
+            sys.stdout.write("[")
+            for i, item in enumerate(payload):
+                sys.stdout.write((", " if i else "") + encode(item))
+            print("]")
+        else:
+            print(json.dumps(payload, sort_keys=True))
+    elif fmt == "csv" and rows is not None:
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def _read_word(args):
@@ -77,52 +70,39 @@ def _read_word(args):
     return "".join(text.split())
 
 
-def _print_json(payload):
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _print_csv(header, rows):
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_word(args, word):
-    if args.format == "json":
-        _print_json({"word": word})
-    else:
-        print(word)
-    return 0
-
-
 def _generated_length(args):
     if args.length > MAX_LENGTH:
         raise ValueError(f"--length {args.length} exceeds the ceiling {MAX_LENGTH}")
     return args.length
 
 
+def _word(word):
+    return 0, {"word": word}, [word], None
+
+
 def _cmd_word_fib(args):
-    return _emit_word(args, fibonacci_stream().prefix(_generated_length(args)))
+    return _word(fibonacci_stream().prefix(_generated_length(args)))
 
 
 def _cmd_word_mechanical(args):
     length = _generated_length(args)
     stream = mechanical_stream(parse_number(args.alpha), parse_number(args.rho))
-    return _emit_word(args, stream.prefix(length))
+    return _word(stream.prefix(length))
 
 
 def _cmd_word_fixed_point(args):
     length = _generated_length(args)
-    f = parse_morphism_spec(args.spec)
-    return _emit_word(args, fixed_point_stream(f, args.seed).prefix(length))
+    return _word(fixed_point_stream(parse_morphism(args.spec), args.seed).prefix(length))
 
 
 def _cmd_word_erase(args):
-    return _emit_word(args, erase(_read_word(args), args.letter))
+    return _word(erase(_read_word(args), args.letter))
 
 
 def _analysis_input(args):
-    word = _read_word(args)[: args.length]
+    word = _read_word(args)
+    if len(word) > args.length:
+        raise ValueError(f"input has {len(word)} letters, more than --length {args.length}")
     if not word:
         raise ValueError("empty input word")
     return word, min(args.max_n, len(word))
@@ -131,192 +111,132 @@ def _analysis_input(args):
 def _cmd_analyze_complexity(args):
     word, max_n = _analysis_input(args)
     profile = complexity(word, max_n)
-    if args.format == "json":
-        _print_json(profile.to_json())
-    elif args.format == "csv":
-        _print_csv(["n", "count"], sorted(profile.counts.items()))
-    else:
-        for n in sorted(profile.counts):
-            print(f"P({n}) = {profile.counts[n]}")
-    return 0
+    counts = sorted(profile.counts.items())
+    lines = [f"P({n}) = {count}" for n, count in counts]
+    return 0, profile.to_json(), lines, [("n", "count"), *counts]
 
 
 def _cmd_analyze_balance(args):
     word, max_n = _analysis_input(args)
     profile = balance_order(word, max_n)
-    if args.format == "json":
-        _print_json(
-            {
-                "order": profile.order,
-                "imbalance": {str(n): profile.imbalance[n] for n in profile.imbalance},
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(["n", "imbalance"], sorted(profile.imbalance.items()))
-    else:
-        for n in sorted(profile.imbalance):
-            print(f"imbalance({n}) = {profile.imbalance[n]}")
-        print(f"order = {profile.order}")
-    return 0
+    imbalance = sorted(profile.imbalance.items())
+    payload = {"order": profile.order, "imbalance": {str(n): i for n, i in imbalance}}
+    lines = [f"imbalance({n}) = {i}" for n, i in imbalance] + [f"order = {profile.order}"]
+    return 0, payload, lines, [("n", "imbalance"), *imbalance]
 
 
 def _cmd_analyze_sturmian(args):
     word, max_n = _analysis_input(args)
     verdict = sturmian_verdict(complexity(word, max_n), balance_order(word, max_n))
-    if args.format == "json":
-        _print_json(verdict.to_json())
-    elif verdict.consistent:
-        print(f"Consistent up to n = {verdict.coverage}")
-    else:
-        print(f"Refuted: {verdict.witness}")
-    return 0 if verdict.consistent else 1
+    ok = verdict.consistent
+    line = f"Consistent up to n = {verdict.coverage}" if ok else f"Refuted: {verdict.witness}"
+    return 0 if ok else 1, verdict.to_json(), [line], None
 
 
 def _cmd_analyze_wse(args):
     word, max_n = _analysis_input(args)
     verdict = wse_verdict(word, max_n)
-    if args.format == "json":
-        _print_json(verdict.to_json())
-    else:
-        for i, sub in verdict.per_erasure.items():
-            if sub.consistent:
-                print(f"erasure {i}: consistent up to n = {sub.coverage}")
-            else:
-                print(f"erasure {i}: refuted, {sub.witness}")
-        print("Consistent" if verdict.consistent else f"Refuted: {verdict.witness}")
-    return 0 if verdict.consistent else 1
+    lines = [
+        f"erasure {i}: consistent up to n = {sub.coverage}"
+        if sub.consistent
+        else f"erasure {i}: refuted, {sub.witness}"
+        for i, sub in verdict.per_erasure.items()
+    ]
+    lines.append("Consistent" if verdict.consistent else f"Refuted: {verdict.witness}")
+    return 0 if verdict.consistent else 1, verdict.to_json(), lines, None
 
 
 def _cmd_morphism_apply(args):
-    f = parse_morphism_spec(args.spec)
-    return _emit_word(args, f(_read_word(args)))
+    f = parse_morphism(args.spec)
+    return _word(f(_read_word(args)))
 
 
 def _cmd_morphism_compose(args):
-    outer = parse_morphism_spec(args.spec)
-    inner = parse_morphism_spec(getattr(args, "with"))
+    outer = parse_morphism(args.spec)
+    inner = parse_morphism(getattr(args, "with"))
     text = format_morphism(compose(outer, inner))
-    if args.format == "json":
-        _print_json({"morphism": text})
-    else:
-        print(text)
-    return 0
+    return 0, {"morphism": text}, [text], None
 
 
 def _cmd_morphism_matrix(args):
-    m = incidence(parse_morphism_spec(args.spec))
-    if args.format == "json":
-        _print_json(
-            {
-                "rows": m.to_lists(),
-                "row_letters": m.row_letters,
-                "col_letters": m.col_letters,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(list(m.col_letters), m.to_lists())
-    else:
-        for row in m.rows:
-            print(" ".join(str(x) for x in row))
-    return 0
+    m = incidence(parse_morphism(args.spec))
+    payload = {"rows": m.to_lists(), "row_letters": m.row_letters, "col_letters": m.col_letters}
+    lines = [" ".join(str(x) for x in row) for row in m.rows]
+    return 0, payload, lines, [list(m.col_letters), *m.to_lists()]
 
 
 def _cmd_morphism_det(args):
-    det = determinant(incidence(parse_morphism_spec(args.spec)))
-    if args.format == "json":
-        _print_json({"det": det})
-    else:
-        print(det)
-    return 0
+    det = determinant(incidence(parse_morphism(args.spec)))
+    return 0, {"det": det}, [det], None
 
 
 def _cmd_morphism_classify(args):
-    c = classify_letters(parse_morphism_spec(args.spec))
+    c = classify_letters(parse_morphism(args.spec))
     parts = {
         "nilpotent": sorted(c.nilpotent),
         "permuting": sorted(c.permuting),
         "core": sorted(c.permuting_core),
         "expansive": sorted(c.expansive),
     }
-    if args.format == "json":
-        _print_json(parts)
-    else:
-        for name, letters in parts.items():
-            print(f"{name}: {''.join(letters) or '-'}")
-    return 0
+    lines = [f"{name}: {''.join(letters) or '-'}" for name, letters in parts.items()]
+    return 0, parts, lines, None
 
 
 def _cmd_st_decompose(args):
-    outcome = st_membership(parse_morphism_spec(args.spec))
+    outcome = st_membership(parse_morphism(args.spec))
     if isinstance(outcome, StRejection):
-        if args.format == "json":
-            _print_json(outcome.to_json())
-        else:
-            print(f"Rejected: {outcome.reason} ({outcome.detail})")
-        return 1
-    if args.format == "json":
-        _print_json(outcome.to_json())
-    else:
-        print(f"factors: {','.join(outcome.factors) or 'id'}")
-        print(f"degree: {outcome.degree}")
-    return 0
+        return 1, outcome.to_json(), [f"Rejected: {outcome.reason} ({outcome.detail})"], None
+    lines = [f"factors: {','.join(outcome.factors) or 'id'}", f"degree: {outcome.degree}"]
+    return 0, outcome.to_json(), lines, None
 
 
 def _cmd_mse_check(args):
-    verdict = mse_membership(parse_morphism_spec(args.spec))
-    if args.format == "json":
-        _print_json(verdict.to_json())
-    elif verdict.kind == "permutation":
-        print("Permutation")
+    verdict = mse_membership(parse_morphism(args.spec))
+    if verdict.kind == "permutation":
+        lines = ["Permutation"]
     elif verdict.kind == "erasing-member":
-        print(f"ErasingMember (erases {verdict.erased})")
-        for j, cert in verdict.certificates.items():
-            print(f"erasure {j}: {','.join(cert.factors) or 'id'}")
+        lines = [f"ErasingMember (erases {verdict.erased})"] + [
+            f"erasure {j}: {','.join(cert.factors) or 'id'}"
+            for j, cert in verdict.certificates.items()
+        ]
     else:
-        print(f"Rejected: {verdict.reason} ({verdict.witness})")
-    return 0 if verdict.accepted else 1
+        lines = [f"Rejected: {verdict.reason} ({verdict.witness})"]
+    return 0 if verdict.accepted else 1, verdict.to_json(), lines, None
 
 
 def _cmd_mse_prime(args):
-    f = parse_morphism_spec(args.spec)
+    f = parse_morphism(args.spec)
     try:
         verdict = primality(f)
     except ValueError as exc:
-        if args.format == "json":
-            _print_json({"verdict": "rejected", "reason": str(exc)})
-        else:
-            print(f"Rejected: {exc}")
-        return 1
-    if args.format == "json":
-        _print_json(verdict.to_json())
-    else:
-        label = {
-            "prime-certified": "PrimeCertified",
-            "composite-certified": "CompositeCertified",
-            "unknown": "Unknown",
-        }[verdict.kind]
-        print(f"{label}: {verdict.note}" if verdict.note else label)
-        if verdict.g_factor is not None:
-            print(f"g: {format_morphism(verdict.g_factor)}")
-            print(f"h: {format_morphism(verdict.h_factor)}")
-    return 0
+        return 1, {"verdict": "rejected", "reason": str(exc)}, [f"Rejected: {exc}"], None
+    label = verdict.kind.title().replace("-", "")  # prime-certified -> PrimeCertified
+    lines = [f"{label}: {verdict.note}" if verdict.note else label]
+    if verdict.g_factor is not None:
+        lines.append(f"g: {format_morphism(verdict.g_factor)}")
+        lines.append(f"h: {format_morphism(verdict.h_factor)}")
+    return 0, verdict.to_json(), lines, None
+
+
+def _psi_ceiling():
+    """Largest n whose image psi_n(0) has at most MAX_LENGTH letters."""
+    # (|psi_m(0)|, |psi_m(1)|) = (a_m, b_m) with a_m = 2·a_(m-2) + b_(m-2) and
+    # b_m = a_(m-1), from (a_1, b_1) = (2, 2) and (a_2, b_2) = (4, 2): the
+    # recurrence psi builds its images by.  a_m grows about 1.62x per step.
+    n, prev, cur = 2, (2, 2), (4, 2)
+    while 2 * prev[0] + prev[1] <= MAX_LENGTH:
+        n, prev, cur = n + 1, cur, (2 * prev[0] + prev[1], cur[0])
+    return n
 
 
 def _cmd_mse_psi(args):
+    # Refused before any image is built: psi_n takes memory exponential in n.
+    ceiling = _psi_ceiling()
+    if args.n > ceiling:
+        raise ValueError(f"--n {args.n} exceeds the ceiling {ceiling}")
     family = psi(args.n)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": family.n,
-                "psi": format_morphism(family.psi),
-                "f": format_morphism(family.f),
-                "g": format_morphism(family.g),
-                "h": format_morphism(family.h),
-            }
-        )
-    else:
-        print(format_morphism(family.psi))
-    return 0
+    parts = {part: format_morphism(getattr(family, part)) for part in ("psi", "f", "g", "h")}
+    return 0, {"n": family.n, **parts}, [parts["psi"]], None
 
 
 def _parse_triple(text):
@@ -333,38 +253,94 @@ def _billiard_config(args):
 def _cmd_billiard_code(args):
     length = _generated_length(args)
     config = _billiard_config(args)
-    if args.format == "text":
-        print(billiard_word(config).prefix(length))
-        return 0
-    # The log is written event by event, so memory stays flat in --length.
+    # All three views are lazy: only the one printed is ever generated, and
+    # the event log is written event by event, so memory stays flat in --length.
+    word = billiard_word(config)
     log = (e.to_json() for e in islice(event_stream(config), length))
-    if args.format == "json":
-        # The bytes _print_json would print for the whole list.
-        encode = json.JSONEncoder(sort_keys=True).encode
-        sys.stdout.write("[")
-        for i, e in enumerate(log):
-            sys.stdout.write((", " if i else "") + encode(e))
-        print("]")
-    else:
-        _print_csv(
-            ["t", "omega"],
-            ([e["t"], "".join(str(i) for i in e["omega"])] for e in log),
-        )
-    return 0
+    rows = chain([("t", "omega")], ([e["t"], "".join(map(str, e["omega"]))] for e in log))
+    return 0, log, map(word.prefix, [length]), rows
 
 
 def _cmd_billiard_classify(args):
     kind = classify(_billiard_config(args))
-    if args.format == "json":
-        _print_json({"class": kind})
-    else:
-        print(kind)
-    return 0
+    return 0, {"class": kind}, [kind], None
 
 
-def _add_length(p, generated=True):
-    limit = f" (at most {MAX_LENGTH})" if generated else ""
-    p.add_argument("--length", type=int, default=DEFAULT_LENGTH, help="prefix length" + limit)
+# Arguments are (flag, add_argument keywords).
+_LENGTH = ("--length", dict(type=int, default=DEFAULT_LENGTH,
+                            help=f"prefix length (at most {MAX_LENGTH})"))
+_WORD = [
+    ("word", dict(nargs="?", help="input word (default: --file or stdin)")),
+    ("--file", dict(help="read the input word from a file")),
+]
+_ANALYZE = _WORD + [
+    ("--max-n", dict(type=int, default=DEFAULT_MAX_N, dest="max_n")),
+    ("--length", dict(type=int, default=DEFAULT_LENGTH, help="longest input analyzed")),
+]
+_SPEC = [("--spec", dict(required=True))]
+_FORMAT = ("--format", dict(choices=("text", "json", "csv"), default="text",
+                            help="output format (default text)"))
+
+# group -> (help, {name: (help or None, handler, arguments before --format)}).
+# A command without help is left out of its group's listing.
+COMMANDS = {
+    "word": ("generate and transform words", {
+        "fib": ("prefix of the Fibonacci word", _cmd_word_fib, [_LENGTH]),
+        "mechanical": ("mechanical word for slope/intercept", _cmd_word_mechanical, [
+            ("--alpha", dict(required=True, help="slope, e.g. '(3-sqrt(5))/2'")),
+            ("--rho", dict(default="0", help="intercept (default 0)")),
+            _LENGTH,
+        ]),
+        "fixed-point": ("fixed point of a morphism", _cmd_word_fixed_point, [
+            ("--spec", dict(required=True, help="morphism, e.g. '0=01,1=0'")),
+            ("--seed", dict(default="0", help="starting letter (default 0)")),
+            _LENGTH,
+        ]),
+        "erase": ("erase one letter from a word", _cmd_word_erase, [
+            ("--letter", dict(required=True, choices=list("012"))),
+            *_WORD,
+        ]),
+    }),
+    "analyze": ("analyze a finite word", {
+        "complexity": (None, _cmd_analyze_complexity, _ANALYZE),
+        "balance": (None, _cmd_analyze_balance, _ANALYZE),
+        "sturmian": (None, _cmd_analyze_sturmian, _ANALYZE),
+        "wse": (None, _cmd_analyze_wse, _ANALYZE),
+    }),
+    "morphism": ("operate on morphisms", {
+        "apply": ("apply a morphism to a word", _cmd_morphism_apply, _SPEC + _WORD),
+        "compose": ("compose --spec after --with", _cmd_morphism_compose, [
+            ("--spec", dict(required=True, help="outer morphism")),
+            ("--with", dict(required=True, help="inner morphism")),
+        ]),
+        "matrix": (None, _cmd_morphism_matrix, _SPEC),
+        "det": (None, _cmd_morphism_det, _SPEC),
+        "classify": (None, _cmd_morphism_classify, _SPEC),
+    }),
+    "st": ("Sturmian morphism monoid", {
+        "decompose": ("generator certificate or rejection", _cmd_st_decompose, [
+            ("--spec", dict(required=True, help="two-letter morphism")),
+        ]),
+    }),
+    "mse": ("erasure-aware ternary morphisms", {
+        "check": ("membership with certificates", _cmd_mse_check, _SPEC),
+        "prime": ("prime/composite certificates", _cmd_mse_prime, _SPEC),
+        "psi": ("n-th member of the prime family", _cmd_mse_psi, [
+            ("--n", dict(type=int, required=True)),
+        ]),
+    }),
+    "billiard": ("cubic billiard codings", {
+        "code": ("coding word or event log", _cmd_billiard_code, [
+            ("--d", dict(required=True, help="direction, three expressions")),
+            ("--rho", dict(required=True, help="starting point, three expressions")),
+            _LENGTH,
+        ]),
+        "classify": ("trajectory type from the direction", _cmd_billiard_classify, [
+            ("--d", dict(required=True)),
+            ("--rho", dict(default="0,0,0")),
+        ]),
+    }),
+}
 
 
 @lru_cache(maxsize=1)
@@ -374,117 +350,15 @@ def build_parser():
         description="Sturmian words, erasure-aware ternary morphisms, "
         "and exact billiard codings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    word = sub.add_parser("word", help="generate and transform words")
-    word_sub = word.add_subparsers(dest="subcommand", required=True)
-
-    p = word_sub.add_parser("fib", help="prefix of the Fibonacci word")
-    _add_length(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_word_fib)
-
-    p = word_sub.add_parser("mechanical", help="mechanical word for slope/intercept")
-    p.add_argument("--alpha", required=True, help="slope, e.g. '(3-sqrt(5))/2'")
-    p.add_argument("--rho", default="0", help="intercept (default 0)")
-    _add_length(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_word_mechanical)
-
-    p = word_sub.add_parser("fixed-point", help="fixed point of a morphism")
-    p.add_argument("--spec", required=True, help="morphism, e.g. '0=01,1=0'")
-    p.add_argument("--seed", default="0", help="starting letter (default 0)")
-    _add_length(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_word_fixed_point)
-
-    p = word_sub.add_parser("erase", help="erase one letter from a word")
-    p.add_argument("--letter", required=True, choices=list("012"))
-    _add_word_input(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_word_erase)
-
-    analyze = sub.add_parser("analyze", help="analyze a finite word")
-    analyze_sub = analyze.add_subparsers(dest="subcommand", required=True)
-    for name, handler in (
-        ("complexity", _cmd_analyze_complexity),
-        ("balance", _cmd_analyze_balance),
-        ("sturmian", _cmd_analyze_sturmian),
-        ("wse", _cmd_analyze_wse),
-    ):
-        p = analyze_sub.add_parser(name)
-        _add_word_input(p)
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-        _add_length(p, generated=False)
-        _add_format(p)
-        p.set_defaults(handler=handler)
-
-    morphism = sub.add_parser("morphism", help="operate on morphisms")
-    morphism_sub = morphism.add_subparsers(dest="subcommand", required=True)
-
-    p = morphism_sub.add_parser("apply", help="apply a morphism to a word")
-    p.add_argument("--spec", required=True)
-    _add_word_input(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_morphism_apply)
-
-    p = morphism_sub.add_parser("compose", help="compose --spec after --with")
-    p.add_argument("--spec", required=True, help="outer morphism")
-    p.add_argument("--with", required=True, help="inner morphism")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_morphism_compose)
-
-    for name, handler in (
-        ("matrix", _cmd_morphism_matrix),
-        ("det", _cmd_morphism_det),
-        ("classify", _cmd_morphism_classify),
-    ):
-        p = morphism_sub.add_parser(name)
-        p.add_argument("--spec", required=True)
-        _add_format(p)
-        p.set_defaults(handler=handler)
-
-    st = sub.add_parser("st", help="Sturmian morphism monoid")
-    st_sub = st.add_subparsers(dest="subcommand", required=True)
-    p = st_sub.add_parser("decompose", help="generator certificate or rejection")
-    p.add_argument("--spec", required=True, help="two-letter morphism")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_st_decompose)
-
-    mse = sub.add_parser("mse", help="erasure-aware ternary morphisms")
-    mse_sub = mse.add_subparsers(dest="subcommand", required=True)
-
-    p = mse_sub.add_parser("check", help="membership with certificates")
-    p.add_argument("--spec", required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mse_check)
-
-    p = mse_sub.add_parser("prime", help="prime/composite certificates")
-    p.add_argument("--spec", required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mse_prime)
-
-    p = mse_sub.add_parser("psi", help="n-th member of the prime family")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mse_psi)
-
-    billiard = sub.add_parser("billiard", help="cubic billiard codings")
-    billiard_sub = billiard.add_subparsers(dest="subcommand", required=True)
-
-    p = billiard_sub.add_parser("code", help="coding word or event log")
-    p.add_argument("--d", required=True, help="direction, three expressions")
-    p.add_argument("--rho", required=True, help="starting point, three expressions")
-    _add_length(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_billiard_code)
-
-    p = billiard_sub.add_parser("classify", help="trajectory type from the direction")
-    p.add_argument("--d", required=True)
-    p.add_argument("--rho", default="0,0,0")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_billiard_classify)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, (group_help, commands) in COMMANDS.items():
+        group_parser = groups.add_parser(group, help=group_help)
+        names = group_parser.add_subparsers(dest="subcommand", required=True)
+        for name, (help_text, handler, arguments) in commands.items():
+            p = names.add_parser(name, **({"help": help_text} if help_text else {}))
+            for flag, options in [*arguments, _FORMAT]:
+                p.add_argument(flag, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -495,7 +369,7 @@ def run(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return _emit(args.format, *args.handler(args))
     except (ValueError, BoundedOutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

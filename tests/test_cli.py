@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from sturmian_erasures import apply, parse_morphism
-from sturmian_erasures.cli import build_parser, parse_morphism_spec, run
+from sturmian_erasures.cli import build_parser, run
 
 from conftest import fib_prefix
 
@@ -391,11 +391,27 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_parse_morphism_spec_helper():
-    assert parse_morphism_spec("0=01,1=0") == parse_morphism("0=01,1=0")
-    with pytest.raises(ValueError):
-        parse_morphism_spec("garbage")
-
-
 def test_parser_is_cached():
     assert build_parser() is build_parser()
+
+
+def test_analyze_refuses_input_longer_than_length(capsys, tmp_path):
+    # Cutting the input to --length would hide the refuting tail.
+    path = tmp_path / "word.txt"
+    path.write_text(fib_prefix(12_000) + "0011\n")
+    code, out, err = _run(capsys, "analyze", "sturmian", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: input has 12004 letters, more than --length 10000\n"
+    code, out, err = _run(
+        capsys, "analyze", "sturmian", "--file", str(path), "--length", "20000"
+    )
+    assert code == 1 and err == ""
+    assert out == "Refuted: P(2)=4 > 3\n"
+
+
+@pytest.mark.parametrize("n", ["33", "1000000000000"])
+def test_psi_above_ceiling_exits_two(capsys, n):
+    # psi_33(0) would have 11,405,774 letters; refused before anything is built.
+    code, out, err = _run(capsys, "mse", "psi", "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: --n {n} exceeds the ceiling 32\n"
