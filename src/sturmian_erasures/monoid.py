@@ -19,7 +19,6 @@ __all__ = [
     "decode_over_code",
     "st_membership",
     "recompose",
-    "st_degree",
 ]
 
 GENERATORS = {"E": E, "phi": PHI, "phit": PHIT}
@@ -150,8 +149,3 @@ def st_membership(f):
 def recompose(cert):
     """Left-to-right composition of the certificate factors."""
     return reduce(compose, (GENERATORS[name] for name in cert.factors), ID2)
-
-
-def st_degree(cert):
-    """Number of non-unit factors; an upper bound for the minimal degree."""
-    return cert.degree

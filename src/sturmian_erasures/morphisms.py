@@ -19,8 +19,6 @@ __all__ = [
     "determinant",
     "classify_letters",
     "is_unit",
-    "is_nilpotent_morphism",
-    "is_expansive",
     "parse_morphism",
     "format_morphism",
     "E",
@@ -269,19 +267,10 @@ def classify_letters(f):
     )
 
 
-def is_nilpotent_morphism(f, classification=None):
-    c = classification or classify_letters(f)
-    return all(ch in c.nilpotent for w in f.images.values() for ch in w)
-
-
-def is_expansive(f, classification=None):
-    c = classification or classify_letters(f)
-    return bool(c.expansive)
-
-
 def is_unit(f, classification=None):
+    """Neither nilpotent (some power erases every letter) nor expansive."""
     c = classification or classify_letters(f)
-    return not is_nilpotent_morphism(f, c) and not is_expansive(f, c)
+    return len(c.nilpotent) < len(f.domain) and not c.expansive
 
 
 E = Morphism({"0": "1", "1": "0"})

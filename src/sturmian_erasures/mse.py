@@ -18,7 +18,6 @@ from .monoid import StCertificate, StRejection, st_membership
 from .morphisms import (
     E0,
     E2,
-    ID3,
     PHI1,
     PHIT1,
     PI2,
@@ -188,13 +187,6 @@ class PsiFamily:
     h: Morphism
 
 
-def _generator_power(base, n):
-    out = ID3
-    for _ in range(n):
-        out = compose(base, out)
-    return out
-
-
 def psi(n):
     """Construct psi_n from its table for n <= 2 and the doubling recurrence
     afterwards; the three components are built independently from generator
@@ -210,8 +202,8 @@ def psi(n):
     images = {"0": table[n][0], "1": table[n][1], "2": ""}
     psi_n = Morphism(images)
 
-    f_n = _generator_power(PHI1, n)
-    tail = _generator_power(PHIT1, n - 1)
+    f_n = PHI1**n
+    tail = PHIT1 ** (n - 1)
     g_n = reduce(compose, [E0, PHIT1, E2, tail])
     h_n = reduce(compose, [E2, E0, tail])
     # The raw products act on the letter 2 through the permutation factors

@@ -1,5 +1,5 @@
 """Finite and infinite words over {0,1,2}: erasures, streams, and the
-complexity / balance / periodicity analyzers.
+complexity and balance analyzers.
 
 Finite words are plain strings over "012".  Infinite words are WordStream
 values: append-only prefix buffers fed by a pump, so prefix(L) is always a
@@ -32,7 +32,6 @@ __all__ = [
     "BalanceProfile",
     "SturmianVerdict",
     "WSEVerdict",
-    "check_word",
     "erase",
     "fibonacci_numbers",
     "fibonacci_stream",
@@ -41,7 +40,6 @@ __all__ = [
     "apply_stream",
     "complexity",
     "balance_order",
-    "period_scan",
     "sturmian_verdict",
     "wse_verdict",
 ]
@@ -375,25 +373,6 @@ def balance_order(prefix, max_n=None):
         order=max(imbalance.values()),
         prefix_length=length,
     )
-
-
-def period_scan(prefix):
-    """Least p such that the prefix is eventually p-periodic with preperiod
-    <= len/4 and at least two full periods; None when no such p exists.
-
-    A None result is a heuristic, not a proof of aperiodicity.
-    """
-    length = len(prefix)
-    for p in range(1, length // 2 + 1):
-        # Find the earliest index from which prefix[i] == prefix[i+p] holds.
-        start = 0
-        for i in range(length - p - 1, -1, -1):
-            if prefix[i] != prefix[i + p]:
-                start = i + 1
-                break
-        if start <= length // 4 and length - start >= 2 * p:
-            return p
-    return None
 
 
 @dataclass(frozen=True)

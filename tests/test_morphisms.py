@@ -13,8 +13,6 @@ from sturmian_erasures import (
     fibonacci_numbers,
     format_morphism,
     incidence,
-    is_expansive,
-    is_nilpotent_morphism,
     is_unit,
     parse_morphism,
 )
@@ -168,10 +166,10 @@ def test_predicates():
     assert is_unit(PI2)
     assert not is_unit(PHI1)
     assert not is_unit(Morphism({"0": "", "1": "", "2": ""}))
-    assert is_nilpotent_morphism(Morphism({"0": "", "1": "", "2": ""}))
-    assert not is_nilpotent_morphism(PHI1)
-    assert is_expansive(PHI1)
-    assert not is_expansive(E0)
+    assert classify_letters(Morphism({"0": "", "1": "", "2": ""})).nilpotent == set("012")
+    assert classify_letters(PHI1).nilpotent != set("012")
+    assert classify_letters(PHI1).expansive
+    assert not classify_letters(E0).expansive
 
 
 ALL_SHORT_IMAGES = [""] + [
@@ -214,6 +212,7 @@ def test_classification_partition_exhaustive():
                 for j, a in enumerate("012"):
                     bounded = a not in c.expansive
                     assert bounded == (trace[23][j] == trace[11][j])
+                # A unit keeps some letter alive and every length bounded.
                 assert is_unit(f, c) == (
-                    not is_nilpotent_morphism(f, c) and not is_expansive(f, c)
+                    any(trace[23]) and all(trace[23][j] == trace[11][j] for j in range(3))
                 )

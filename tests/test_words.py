@@ -16,7 +16,6 @@ from sturmian_erasures import (
     mechanical_stream,
     parse_morphism,
     parse_number,
-    period_scan,
     psi,
     rational,
     sturmian_verdict,
@@ -292,14 +291,6 @@ def test_balance_examples():
     assert balance_order("01" * 50).max_n == 10
 
 
-def test_period_scan():
-    assert period_scan("01010101") == 2
-    assert period_scan("012" * 100) == 3
-    assert period_scan(fib_prefix(1000)) is None
-    assert period_scan("0") is None
-    assert period_scan("0001010101010101") == 2
-
-
 def test_sturmian_verdict():
     refuted = sturmian_verdict(complexity("00110", 2), balance_order("00110", 2))
     assert not refuted.consistent
@@ -338,7 +329,6 @@ def test_wse_verdict():
 
     periodic = wse_verdict("012" * 200, 20)
     assert periodic.consistent
-    assert period_scan("012" * 200) == 3
 
     with pytest.raises(ValueError):
         wse_verdict("00", 1)
