@@ -38,7 +38,7 @@ DEFAULT_MAX_N = 30
 MAX_LENGTH = 10_000_000
 
 
-def _emit(fmt, code, payload, lines, rows=None):
+def _emit(fmt, code, payload, lines, rows):
     """Print one view of a result; commands without a CSV view print text."""
     if fmt == "json":
         if isinstance(payload, Iterator):
