@@ -1,9 +1,11 @@
 """Membership decision for the monoid of Sturmian morphisms on {0,1}.
 
-The monoid is generated by E (0<->1), phi (0->01, 1->0) and phit (0->10,
-1->0).  Membership is decided by peeling generators off the left with
-backtracking; an accepted morphism comes with a certificate (the factor
-sequence) whose recomposition equals the input exactly.
+The monoid St is generated by E (0<->1), phi (0->01, 1->0) and phit
+(0->10, 1->0).  Membership is decided by peeling generators off the left
+in a loop without backtracking: St is left unitary, so the first peel that
+decodes a member leaves a member.  An accepted morphism comes with a
+certificate (the factor sequence) whose recomposition equals the input
+exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .morphisms import E, ID2, PHI, PHIT, Morphism, compose, determinant, incidence
+from .morphisms import E, ID2, PHI, PHIT, Morphism, compose
 
 __all__ = [
     "StCertificate",
@@ -49,36 +51,18 @@ class StRejection:
 
 
 def _decode_phi(w):
-    # Tokens 01 -> 0 and 0 -> 1.  "0" is a prefix of "01", but no token
-    # starts with "1", so one-symbol lookahead decides every boundary.
-    out = []
-    i = 0
-    while i < len(w):
-        if w[i] == "1":
-            return None
-        if i + 1 < len(w) and w[i + 1] == "1":
-            out.append("0")
-            i += 2
-        else:
-            out.append("1")
-            i += 1
-    return "".join(out)
+    # Tokens 01 -> 0 and 0 -> 1.  A word is a product of them exactly when
+    # every 1 follows a 0 that no other 1 claims: no leading 1 and no 11.
+    if w[:1] == "1" or "11" in w:
+        return None
+    return w.replace("01", "x").replace("0", "1").replace("x", "0")
 
 
 def _decode_phit(w):
-    # Tokens 10 -> 0 and 0 -> 1 form a prefix code; greedy decode is exact.
-    out = []
-    i = 0
-    while i < len(w):
-        if w[i] == "0":
-            out.append("1")
-            i += 1
-        elif w[i] == "1" and i + 1 < len(w) and w[i + 1] == "0":
-            out.append("0")
-            i += 2
-        else:
-            return None
-    return "".join(out)
+    # Tokens 10 -> 0 and 0 -> 1, the mirror of phi: no trailing 1 and no 11.
+    if w[-1:] == "1" or "11" in w:
+        return None
+    return w.replace("10", "x").replace("0", "1").replace("x", "0")
 
 
 _DECODERS = {"phi": _decode_phi, "phit": _decode_phit}
@@ -94,56 +78,58 @@ def decode_over_code(w, code):
 _FLIP = str.maketrans("01", "10")
 
 
+def _peel(im0, im1):
+    """(factors, d0, d1) for the first of phi, phit, E.phi, E.phit whose
+    decode succeeds on both images, or None."""
+    for twist in ((), ("E",)):
+        if twist:
+            im0, im1 = im0.translate(_FLIP), im1.translate(_FLIP)
+        for name, decoder in _DECODERS.items():
+            d0 = decoder(im0)
+            if d0 is not None:
+                d1 = decoder(im1)
+                if d1 is not None:
+                    return twist + (name,), d0, d1
+    return None
+
+
 def st_membership(f):
     """StCertificate for members, StRejection otherwise.
 
-    Peel order: phi, phit, then the same two under a left E-twist.  Starting
-    from |det| = 1, a successful peel always strictly shrinks the total image
-    length (a length-preserving decode would need both images to be powers of
-    0, a determinant-0 shape that cannot arise), so the search terminates and
-    failures can be memoized without cycle bookkeeping.
+    Peel order: phi, phit, then the same two under a left E-twist, and the
+    first peel that decodes both images is taken; no other is ever tried.
+    This loses no member: St is left unitary (X and X o g in St force g in
+    St, Seebold 1991), and the images of phi and phit are codes, so a peel
+    that decodes a member leaves the unique g with X o g = f, itself a
+    member.  Starting from |det| = 1, every peel strictly shrinks the total
+    image length (a length-preserving decode would need both images to be
+    powers of 0, a determinant-0 shape), so the loop ends after at most that
+    many peels, with no depth limit.
     """
     if not isinstance(f, Morphism) or f.domain != "01":
         raise ValueError("st_membership expects a morphism on the two-letter alphabet")
-    if f.image_letters() - set("01"):
+    im0, im1 = f.images["0"], f.images["1"]
+    if "2" in im0 or "2" in im1:
         raise ValueError("st_membership expects images over the two-letter alphabet")
-    if any(w == "" for w in f.images.values()):
+    if not im0 or not im1:
         return StRejection("erasing", "a generator product never erases a letter")
-    det = determinant(incidence(f))
+    # The incidence determinant #0(im0)*#1(im1) - #0(im1)*#1(im0), with
+    # #1 = length - #0 on binary words.
+    det = im0.count("0") * len(im1) - im1.count("0") * len(im0)
     if det not in (-1, 1):
         return StRejection("determinant", f"det={det}, members have det +-1")
 
-    failed = set()
-
-    def search(im0, im1):
-        if im0 == "0" and im1 == "1":
-            return ()
-        if im0 == "1" and im1 == "0":
-            return ("E",)
-        key = (im0, im1)
-        if key in failed:
-            return None
-        for prefix_names, a0, a1 in (
-            ((), im0, im1),
-            (("E",), im0.translate(_FLIP), im1.translate(_FLIP)),
-        ):
-            for name, decoder in _DECODERS.items():
-                d0 = decoder(a0)
-                if d0 is None:
-                    continue
-                d1 = decoder(a1)
-                if d1 is None:
-                    continue
-                sub = search(d0, d1)
-                if sub is not None:
-                    return prefix_names + (name,) + sub
-        failed.add(key)
-        return None
-
-    factors = search(f.images["0"], f.images["1"])
-    if factors is None:
-        return StRejection("no-decomposition", "no generator peeling reproduces the images")
-    return StCertificate(factors)
+    factors = []
+    while (im0, im1) != ("0", "1"):
+        if (im0, im1) == ("1", "0"):
+            factors.append("E")
+            break
+        peel = _peel(im0, im1)
+        if peel is None:
+            return StRejection("no-decomposition", "no generator peeling reproduces the images")
+        names, im0, im1 = peel
+        factors += names
+    return StCertificate(tuple(factors))
 
 
 def recompose(cert):

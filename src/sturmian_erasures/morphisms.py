@@ -47,7 +47,7 @@ class Morphism:
         if domain not in (A2, A3):
             raise ValueError(f"domain must be 01 or 012, got letters {domain!r}")
         for a, w in images.items():
-            if any(c not in A3 for c in w):
+            if w.strip(A3):
                 raise ValueError(f"image of {a!r} contains letters outside 012: {w!r}")
         self.domain = domain
         self.images = {a: images[a] for a in domain}

@@ -73,17 +73,18 @@ class MSEVerdict:
         return {"verdict": "rejected", "reason": self.reason, "witness": self.witness}
 
 
+# Per erased letter j: delete j, recode the other two letters in order to 0, 1.
+_RECODE = {j: str.maketrans(A3.replace(j, ""), "01", j) for j in A3}
+
+
 def projection_restriction(f, i, j):
     """Erase j from the images of f, restrict the domain to A3 minus i, and
     recode both sides order-preservingly to {0,1}."""
+    table = _RECODE.get(j)
+    if table is None:
+        raise ValueError(f"letter {j!r} outside alphabet 012")
     dom = [a for a in A3 if a != i]
-    cod = [a for a in A3 if a != j]
-    recode = {cod[0]: "0", cod[1]: "1"}
-    images = {}
-    for pos, a in enumerate(dom):
-        image = erase(f.images[a], j)
-        images[str(pos)] = "".join(recode[c] for c in image)
-    return Morphism(images)
+    return Morphism({str(pos): f.images[a].translate(table) for pos, a in enumerate(dom)})
 
 
 def mse_membership(f):

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +206,27 @@ def test_st_decompose(capsys):
         capsys, "st", "decompose", "--spec", "0=010,1=0", "--format", "json"
     )
     assert json.loads(out) == ["phi", "E", "phit"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_st_decompose_deep_chain(fmt):
+    """A member with 4000 factors decomposes in a fresh process, with no
+    traceback and no recursion limit in the way."""
+    spec = "0=0,1=" + "0" * 2000 + "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from sturmian_erasures.cli import main; main()",
+         "st", "decompose", "--spec", spec, "--format", fmt],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    factors = ["phi", "E"] * 2000
+    if fmt == "json":
+        assert json.loads(proc.stdout) == factors
+    else:
+        assert proc.stdout.splitlines() == ["factors: " + ",".join(factors), "degree: 2000"]
 
 
 def test_mse_check(capsys):

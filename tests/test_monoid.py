@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -132,3 +133,123 @@ def test_certificate_json():
     cert = st_membership(Morphism({"0": "010", "1": "0"}))
     assert cert.to_json() == list(cert.factors)
     assert GENERATORS.keys() == {"E", "phi", "phit"}
+
+
+# -- references: the char-by-char decoders and the recursive backtracking
+# search that st_membership replaced, kept to pin its verdicts --------------
+
+
+def _ref_decode_phi(w):
+    out = []
+    i = 0
+    while i < len(w):
+        if w[i] == "1":
+            return None
+        if i + 1 < len(w) and w[i + 1] == "1":
+            out.append("0")
+            i += 2
+        else:
+            out.append("1")
+            i += 1
+    return "".join(out)
+
+
+def _ref_decode_phit(w):
+    out = []
+    i = 0
+    while i < len(w):
+        if w[i] == "0":
+            out.append("1")
+            i += 1
+        elif w[i] == "1" and i + 1 < len(w) and w[i + 1] == "0":
+            out.append("0")
+            i += 2
+        else:
+            return None
+    return "".join(out)
+
+
+_REF_DECODERS = {"phi": _ref_decode_phi, "phit": _ref_decode_phit}
+_FLIP = str.maketrans("01", "10")
+
+
+def _ref_st_membership(f):
+    if f.image_letters() - set("01"):
+        raise ValueError("st_membership expects images over the two-letter alphabet")
+    if any(w == "" for w in f.images.values()):
+        return StRejection("erasing", "a generator product never erases a letter")
+    det = determinant(incidence(f))
+    if det not in (-1, 1):
+        return StRejection("determinant", f"det={det}, members have det +-1")
+
+    failed = set()
+
+    def search(im0, im1):
+        if im0 == "0" and im1 == "1":
+            return ()
+        if im0 == "1" and im1 == "0":
+            return ("E",)
+        key = (im0, im1)
+        if key in failed:
+            return None
+        for prefix_names, a0, a1 in (
+            ((), im0, im1),
+            (("E",), im0.translate(_FLIP), im1.translate(_FLIP)),
+        ):
+            for name, decoder in _REF_DECODERS.items():
+                d0 = decoder(a0)
+                if d0 is None:
+                    continue
+                d1 = decoder(a1)
+                if d1 is None:
+                    continue
+                sub = search(d0, d1)
+                if sub is not None:
+                    return prefix_names + (name,) + sub
+        failed.add(key)
+        return None
+
+    factors = search(f.images["0"], f.images["1"])
+    if factors is None:
+        return StRejection("no-decomposition", "no generator peeling reproduces the images")
+    return StCertificate(factors)
+
+
+def _binary_words(max_len):
+    for n in range(max_len + 1):
+        for letters in itertools.product("01", repeat=n):
+            yield "".join(letters)
+
+
+def test_decoders_match_char_by_char_reference():
+    for w in _binary_words(12):
+        for code, ref in _REF_DECODERS.items():
+            assert decode_over_code(w, code) == ref(w), (w, code)
+
+
+def test_deterministic_peel_matches_backtracking_search():
+    """Every binary morphism with total image length <= 12 gets the same
+    certificate or the same rejection (reason and detail) from the loop as
+    from the backtracking search."""
+    words = list(_binary_words(12))
+    count = 0
+    for im0 in words:
+        for im1 in words:
+            if len(im0) + len(im1) > 12:
+                break
+            f = Morphism({"0": im0, "1": im1})
+            assert st_membership(f) == _ref_st_membership(f), (im0, im1)
+            count += 1
+    assert count == 98_305
+
+
+@pytest.mark.parametrize("k", [1500, 5000])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_deep_chains_are_accepted(k, mirror):
+    """0=0,1=0^k1 and 0=0,1=10^k are members with 2k factors, far past the
+    depth at which a recursive peel hits the interpreter's recursion limit."""
+    f = Morphism({"0": "0", "1": "1" + "0" * k if mirror else "0" * k + "1"})
+    cert = st_membership(f)
+    assert isinstance(cert, StCertificate)
+    assert len(cert.factors) == 2 * k
+    assert recompose(cert) == f

@@ -66,8 +66,10 @@ def test_morphism_validation():
         Morphism({"0": "01"})
     with pytest.raises(ValueError):
         Morphism({"0": "0", "1": "1", "3": "2"})
-    with pytest.raises(ValueError):
-        Morphism({"0": "0x", "1": "1"})
+    for image in ("x01", "0x1", "01x", "x"):
+        with pytest.raises(ValueError) as err:
+            Morphism({"0": "0", "1": image})
+        assert str(err.value) == f"image of '1' contains letters outside 012: {image!r}"
 
 
 def test_parse_format_round_trip():

@@ -41,6 +41,25 @@ def test_projection_restriction():
     assert r == Morphism({"0": "01", "1": "0"})
 
 
+def test_projection_restriction_matches_erase_then_recode():
+    """The translate table agrees with erasing j, then recoding the two
+    remaining letters in order, for every (i, j)."""
+    rng = random.Random(53)
+    for _ in range(300):
+        f = Morphism({a: "".join(rng.choice("012") for _ in range(rng.randrange(9))) for a in "012"})
+        for i, j in itertools.product("012", repeat=2):
+            dom = [a for a in "012" if a != i]
+            cod = [a for a in "012" if a != j]
+            recode = {cod[0]: "0", cod[1]: "1"}
+            expected = {
+                str(pos): "".join(recode[c] for c in erase(f.images[a], j))
+                for pos, a in enumerate(dom)
+            }
+            assert projection_restriction(f, i, j) == Morphism(expected)
+    with pytest.raises(ValueError, match="outside alphabet 012"):
+        projection_restriction(EX1_G, "2", "3")
+
+
 def test_membership_erasing_member():
     verdict = mse_membership(EX1_G)
     assert verdict.kind == "erasing-member"
