@@ -83,8 +83,9 @@ def projection_restriction(f, i, j):
     table = _RECODE.get(j)
     if table is None:
         raise ValueError(f"letter {j!r} outside alphabet 012")
-    dom = [a for a in A3 if a != i]
-    return Morphism({str(pos): f.images[a].translate(table) for pos, a in enumerate(dom)})
+    return Morphism(
+        {str(pos): f.images[a].translate(table) for pos, a in enumerate(A3.replace(i, ""))}
+    )
 
 
 def mse_membership(f):
