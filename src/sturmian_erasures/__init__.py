@@ -1,116 +1,43 @@
-"""Sturmian words, erasure-aware ternary morphisms, and exact billiard codings."""
+"""Sturmian words, erasure-aware ternary morphisms, and exact billiard codings.
 
-from .billiard import (
-    BilliardConfig,
-    CrossingEvent,
-    billiard_word,
-    classify,
-    event_stream,
-)
-from .exactnum import SqrtBasisNumber, parse_number, rational, sqrt
-from .monoid import (
-    StCertificate,
-    StRejection,
-    decode_over_code,
-    recompose,
-    st_membership,
-)
-from .morphisms import (
-    IncidenceMatrix,
-    LetterClassification,
-    Morphism,
-    apply,
-    classify_letters,
-    compose,
-    determinant,
-    format_morphism,
-    incidence,
-    is_unit,
-    parse_morphism,
-)
-from .mse import (
-    MSEVerdict,
-    PrimalityVerdict,
-    PsiFamily,
-    intercalate,
-    length_filter,
-    mse_membership,
-    primality,
-    projection_restriction,
-    psi,
-)
-from .words import (
-    BalanceProfile,
-    BoundedOutputError,
-    ComplexityProfile,
-    SturmianVerdict,
-    WordStream,
-    WSEVerdict,
-    apply_stream,
-    balance_order,
-    complexity,
-    erase,
-    fibonacci_numbers,
-    fibonacci_stream,
-    fixed_point_stream,
-    literal_stream,
-    mechanical_stream,
-    sturmian_verdict,
-    wse_verdict,
-)
+Every public name is loaded on first use (PEP 562), so importing the package
+loads none of its modules, and a program pays only for the modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalanceProfile",
-    "BilliardConfig",
-    "BoundedOutputError",
-    "ComplexityProfile",
-    "CrossingEvent",
-    "IncidenceMatrix",
-    "LetterClassification",
-    "Morphism",
-    "MSEVerdict",
-    "PrimalityVerdict",
-    "PsiFamily",
-    "SqrtBasisNumber",
-    "StCertificate",
-    "StRejection",
-    "SturmianVerdict",
-    "WSEVerdict",
-    "WordStream",
-    "apply",
-    "apply_stream",
-    "balance_order",
-    "billiard_word",
-    "classify",
-    "classify_letters",
-    "complexity",
-    "compose",
-    "decode_over_code",
-    "determinant",
-    "erase",
-    "event_stream",
-    "fibonacci_numbers",
-    "fibonacci_stream",
-    "fixed_point_stream",
-    "format_morphism",
-    "incidence",
-    "intercalate",
-    "is_unit",
-    "length_filter",
-    "literal_stream",
-    "mechanical_stream",
-    "mse_membership",
-    "parse_morphism",
-    "parse_number",
-    "primality",
-    "projection_restriction",
-    "rational",
-    "psi",
-    "recompose",
-    "sqrt",
-    "st_membership",
-    "sturmian_verdict",
-    "wse_verdict",
-]
+# The public API: each module and the names the package exports from it.
+_EXPORTS = {
+    "billiard": ("BilliardConfig", "CrossingEvent", "billiard_word", "classify", "event_stream"),
+    "exactnum": ("SqrtBasisNumber", "parse_number", "rational", "sqrt"),
+    "monoid": ("StCertificate", "StRejection", "decode_over_code", "recompose", "st_membership"),
+    "morphisms": (
+        "IncidenceMatrix", "LetterClassification", "Morphism", "apply", "classify_letters",
+        "compose", "determinant", "format_morphism", "incidence", "is_unit", "parse_morphism",
+    ),
+    "mse": (
+        "MSEVerdict", "PrimalityVerdict", "PsiFamily", "intercalate", "length_filter",
+        "mse_membership", "primality", "projection_restriction", "psi",
+    ),
+    "words": (
+        "BalanceProfile", "BoundedOutputError", "ComplexityProfile", "SturmianVerdict",
+        "WordStream", "WSEVerdict", "apply_stream", "balance_order", "complexity", "erase",
+        "fibonacci_numbers", "fibonacci_stream", "fixed_point_stream", "literal_stream",
+        "mechanical_stream", "sturmian_verdict", "wse_verdict",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    # Cached, so that later reads are plain attribute lookups.
+    globals()[name] = value
+    return value

@@ -9,9 +9,9 @@ involves a single coordinate this is a word over the three letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _sign_of, rational
+from .records import Record
 from .words import WordStream
 
 __all__ = [
@@ -29,8 +29,7 @@ def _coerce(x):
     return rational(x)
 
 
-@dataclass(frozen=True)
-class BilliardConfig:
+class BilliardConfig(Record):
     """Direction d and starting point rho, componentwise exact.
 
     Directions are nonnegative with at least one positive coordinate and the
@@ -56,8 +55,7 @@ class BilliardConfig:
                 raise ValueError("starting point coordinates must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(Record):
     """One crossing time and the ascending tuple of coordinates involved."""
 
     t: SqrtBasisNumber

@@ -8,27 +8,19 @@ an input longer than its --length.
 
 Every command is one handler in COMMANDS.  A handler returns
 (exit code, JSON payload, text lines, CSV rows or None), and `_emit` prints
-the view that --format selects.
+the view that --format selects.  Handlers reach the library through the
+package's lazy exports, so a command loads only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, islice
 
-from .billiard import BilliardConfig, billiard_word, classify, event_stream
-from .exactnum import parse_number
-from .monoid import StRejection, st_membership
-from .morphisms import (classify_letters, compose, determinant, format_morphism, incidence,
-                        parse_morphism)
-from .mse import mse_membership, primality, psi
-from .words import (BoundedOutputError, balance_order, complexity, erase, fibonacci_stream,
-                    fixed_point_stream, mechanical_stream, sturmian_verdict, wse_verdict)
+import sturmian_erasures as lib
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -41,6 +33,8 @@ MAX_LENGTH = 10_000_000
 def _emit(fmt, code, payload, lines, rows):
     """Print one view of a result; commands without a CSV view print text."""
     if fmt == "json":
+        import json
+
         if isinstance(payload, Iterator):
             # A log written item by item, so memory stays flat in its length:
             # the bytes json.dumps would give for the whole list.
@@ -52,6 +46,8 @@ def _emit(fmt, code, payload, lines, rows):
         else:
             print(json.dumps(payload, sort_keys=True))
     elif fmt == "csv" and rows is not None:
+        import csv
+
         csv.writer(sys.stdout).writerows(rows)
     else:
         for line in lines:
@@ -81,22 +77,22 @@ def _word(word):
 
 
 def _cmd_word_fib(args):
-    return _word(fibonacci_stream().prefix(_generated_length(args)))
+    return _word(lib.fibonacci_stream().prefix(_generated_length(args)))
 
 
 def _cmd_word_mechanical(args):
     length = _generated_length(args)
-    stream = mechanical_stream(parse_number(args.alpha), parse_number(args.rho))
+    stream = lib.mechanical_stream(lib.parse_number(args.alpha), lib.parse_number(args.rho))
     return _word(stream.prefix(length))
 
 
 def _cmd_word_fixed_point(args):
     length = _generated_length(args)
-    return _word(fixed_point_stream(parse_morphism(args.spec), args.seed).prefix(length))
+    return _word(lib.fixed_point_stream(lib.parse_morphism(args.spec), args.seed).prefix(length))
 
 
 def _cmd_word_erase(args):
-    return _word(erase(_read_word(args), args.letter))
+    return _word(lib.erase(_read_word(args), args.letter))
 
 
 def _analysis_input(args):
@@ -110,7 +106,7 @@ def _analysis_input(args):
 
 def _cmd_analyze_complexity(args):
     word, max_n = _analysis_input(args)
-    profile = complexity(word, max_n)
+    profile = lib.complexity(word, max_n)
     counts = sorted(profile.counts.items())
     lines = [f"P({n}) = {count}" for n, count in counts]
     return 0, profile.to_json(), lines, [("n", "count"), *counts]
@@ -118,7 +114,7 @@ def _cmd_analyze_complexity(args):
 
 def _cmd_analyze_balance(args):
     word, max_n = _analysis_input(args)
-    profile = balance_order(word, max_n)
+    profile = lib.balance_order(word, max_n)
     imbalance = sorted(profile.imbalance.items())
     payload = {"order": profile.order, "imbalance": {str(n): i for n, i in imbalance}}
     lines = [f"imbalance({n}) = {i}" for n, i in imbalance] + [f"order = {profile.order}"]
@@ -127,7 +123,7 @@ def _cmd_analyze_balance(args):
 
 def _cmd_analyze_sturmian(args):
     word, max_n = _analysis_input(args)
-    verdict = sturmian_verdict(complexity(word, max_n), balance_order(word, max_n))
+    verdict = lib.sturmian_verdict(lib.complexity(word, max_n), lib.balance_order(word, max_n))
     ok = verdict.consistent
     line = f"Consistent up to n = {verdict.coverage}" if ok else f"Refuted: {verdict.witness}"
     return 0 if ok else 1, verdict.to_json(), [line], None
@@ -135,7 +131,7 @@ def _cmd_analyze_sturmian(args):
 
 def _cmd_analyze_wse(args):
     word, max_n = _analysis_input(args)
-    verdict = wse_verdict(word, max_n)
+    verdict = lib.wse_verdict(word, max_n)
     lines = [
         f"erasure {i}: consistent up to n = {sub.coverage}"
         if sub.consistent
@@ -147,31 +143,31 @@ def _cmd_analyze_wse(args):
 
 
 def _cmd_morphism_apply(args):
-    f = parse_morphism(args.spec)
+    f = lib.parse_morphism(args.spec)
     return _word(f(_read_word(args)))
 
 
 def _cmd_morphism_compose(args):
-    outer = parse_morphism(args.spec)
-    inner = parse_morphism(getattr(args, "with"))
-    text = format_morphism(compose(outer, inner))
+    outer = lib.parse_morphism(args.spec)
+    inner = lib.parse_morphism(getattr(args, "with"))
+    text = lib.format_morphism(lib.compose(outer, inner))
     return 0, {"morphism": text}, [text], None
 
 
 def _cmd_morphism_matrix(args):
-    m = incidence(parse_morphism(args.spec))
+    m = lib.incidence(lib.parse_morphism(args.spec))
     payload = {"rows": m.to_lists(), "row_letters": m.row_letters, "col_letters": m.col_letters}
     lines = [" ".join(str(x) for x in row) for row in m.rows]
     return 0, payload, lines, [list(m.col_letters), *m.to_lists()]
 
 
 def _cmd_morphism_det(args):
-    det = determinant(incidence(parse_morphism(args.spec)))
+    det = lib.determinant(lib.incidence(lib.parse_morphism(args.spec)))
     return 0, {"det": det}, [det], None
 
 
 def _cmd_morphism_classify(args):
-    c = classify_letters(parse_morphism(args.spec))
+    c = lib.classify_letters(lib.parse_morphism(args.spec))
     parts = {
         "nilpotent": sorted(c.nilpotent),
         "permuting": sorted(c.permuting),
@@ -183,15 +179,15 @@ def _cmd_morphism_classify(args):
 
 
 def _cmd_st_decompose(args):
-    outcome = st_membership(parse_morphism(args.spec))
-    if isinstance(outcome, StRejection):
+    outcome = lib.st_membership(lib.parse_morphism(args.spec))
+    if isinstance(outcome, lib.StRejection):
         return 1, outcome.to_json(), [f"Rejected: {outcome.reason} ({outcome.detail})"], None
     lines = [f"factors: {','.join(outcome.factors) or 'id'}", f"degree: {outcome.degree}"]
     return 0, outcome.to_json(), lines, None
 
 
 def _cmd_mse_check(args):
-    verdict = mse_membership(parse_morphism(args.spec))
+    verdict = lib.mse_membership(lib.parse_morphism(args.spec))
     if verdict.kind == "permutation":
         lines = ["Permutation"]
     elif verdict.kind == "erasing-member":
@@ -205,16 +201,16 @@ def _cmd_mse_check(args):
 
 
 def _cmd_mse_prime(args):
-    f = parse_morphism(args.spec)
+    f = lib.parse_morphism(args.spec)
     try:
-        verdict = primality(f)
+        verdict = lib.primality(f)
     except ValueError as exc:
         return 1, {"verdict": "rejected", "reason": str(exc)}, [f"Rejected: {exc}"], None
     label = verdict.kind.title().replace("-", "")  # prime-certified -> PrimeCertified
     lines = [f"{label}: {verdict.note}" if verdict.note else label]
     if verdict.g_factor is not None:
-        lines.append(f"g: {format_morphism(verdict.g_factor)}")
-        lines.append(f"h: {format_morphism(verdict.h_factor)}")
+        lines.append(f"g: {lib.format_morphism(verdict.g_factor)}")
+        lines.append(f"h: {lib.format_morphism(verdict.h_factor)}")
     return 0, verdict.to_json(), lines, None
 
 
@@ -234,8 +230,8 @@ def _cmd_mse_psi(args):
     ceiling = _psi_ceiling()
     if args.n > ceiling:
         raise ValueError(f"--n {args.n} exceeds the ceiling {ceiling}")
-    family = psi(args.n)
-    parts = {part: format_morphism(getattr(family, part)) for part in ("psi", "f", "g", "h")}
+    family = lib.psi(args.n)
+    parts = {part: lib.format_morphism(getattr(family, part)) for part in ("psi", "f", "g", "h")}
     return 0, {"n": family.n, **parts}, [parts["psi"]], None
 
 
@@ -243,11 +239,11 @@ def _parse_triple(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated expressions, got {text!r}")
-    return tuple(parse_number(p) for p in parts)
+    return tuple(lib.parse_number(p) for p in parts)
 
 
 def _billiard_config(args):
-    return BilliardConfig(d=_parse_triple(args.d), rho=_parse_triple(args.rho))
+    return lib.BilliardConfig(d=_parse_triple(args.d), rho=_parse_triple(args.rho))
 
 
 def _cmd_billiard_code(args):
@@ -255,14 +251,14 @@ def _cmd_billiard_code(args):
     config = _billiard_config(args)
     # All three views are lazy: only the one printed is ever generated, and
     # the event log is written event by event, so memory stays flat in --length.
-    word = billiard_word(config)
-    log = (e.to_json() for e in islice(event_stream(config), length))
+    word = lib.billiard_word(config)
+    log = (e.to_json() for e in islice(lib.event_stream(config), length))
     rows = chain([("t", "omega")], ([e["t"], "".join(map(str, e["omega"]))] for e in log))
     return 0, log, map(word.prefix, [length]), rows
 
 
 def _cmd_billiard_classify(args):
-    kind = classify(_billiard_config(args))
+    kind = lib.classify(_billiard_config(args))
     return 0, {"class": kind}, [kind], None
 
 
@@ -368,9 +364,11 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The except tuple is built only once the handler has raised, so reading
+    # lib.BoundedOutputError there loads words on that path alone.
     try:
         return _emit(args.format, *args.handler(args))
-    except (ValueError, BoundedOutputError, OSError) as exc:
+    except (ValueError, lib.BoundedOutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ doubling k; no floating point enters any decision.
 
 from __future__ import annotations
 
-import ast
 import math
 from fractions import Fraction
 
@@ -315,13 +314,24 @@ def sqrt(k):
 
 # -- expression grammar: integers, p/q, sqrt(k), binary + - * /, parentheses --
 
-_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# parse_number rejects longer expressions before parsing them.  A syntax tree
+# is never deeper than its text is long, so this also caps the nesting that
+# ast.parse and the evaluator recurse through.  It bounds the time as well:
+# inverting a product of sqrt sums costs about 16x more per distinct sqrt
+# factor, and 100 characters hold at most seven of them.
+_EXPR_MAX = 100
+_BINOPS = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}
 
 
 def parse_number(text):
     """Parse an expression such as "(3-sqrt(5))/2" into an exact value."""
+    import ast
+
+    expr = text.strip()
+    if len(expr) > _EXPR_MAX:
+        raise ValueError(f"bad number expression: {len(expr)} characters, more than {_EXPR_MAX}")
     try:
-        tree = ast.parse(text.strip(), mode="eval")
+        tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ValueError(
             f"bad number expression {text!r}: syntax error at offset {exc.offset}"
@@ -333,16 +343,18 @@ def parse_number(text):
 
 
 def _eval_node(node):
+    import ast
+
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
             return rational(node.value)
         raise ValueError(
             f"unsupported literal {node.value!r}: use integers and p/q rationals"
         )
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+    if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINOPS:
         left = _eval_node(node.left)
         right = _eval_node(node.right)
-        op = _BINOPS[type(node.op)]
+        op = _BINOPS[type(node.op).__name__]
         if op == "+":
             return left + right
         if op == "-":

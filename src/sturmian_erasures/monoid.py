@@ -10,10 +10,10 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .morphisms import E, ID2, PHI, PHIT, Morphism, compose
+from .records import Record
 
 __all__ = [
     "StCertificate",
@@ -26,8 +26,7 @@ __all__ = [
 GENERATORS = {"E": E, "phi": PHI, "phit": PHIT}
 
 
-@dataclass(frozen=True)
-class StCertificate:
+class StCertificate(Record):
     """Ordered factor sequence over {"E", "phi", "phit"}; composing the
     factors left to right reproduces the decided morphism."""
 
@@ -41,8 +40,7 @@ class StCertificate:
         return list(self.factors)
 
 
-@dataclass(frozen=True)
-class StRejection:
+class StRejection(Record):
     reason: str  # "erasing" | "determinant" | "no-decomposition"
     detail: str = ""
 

@@ -4,7 +4,8 @@ classification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
+
 
 A2 = "01"
 A3 = "012"
@@ -29,8 +30,6 @@ __all__ = [
     "E2",
     "PHI1",
     "PHIT1",
-    "PI0",
-    "PI1",
     "PI2",
     "ID2",
     "ID3",
@@ -131,8 +130,7 @@ def format_morphism(f):
     return ",".join(f"{a}={f.images[a]}" for a in f.domain)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(Record):
     """Occurrence-count matrix: entry (i, j) counts letter i in f(j)."""
 
     rows: tuple
@@ -186,8 +184,7 @@ def determinant(m):
     raise ValueError(f"unsupported matrix size {n}")
 
 
-@dataclass(frozen=True)
-class LetterClassification:
+class LetterClassification(Record):
     """Partition of the domain into nilpotent / permuting / expansive letters.
 
     permuting_core holds the letters whose nilpotent-reduced orbit returns to
@@ -283,6 +280,4 @@ E1 = Morphism({"0": "2", "1": "1", "2": "0"})
 E2 = Morphism({"0": "1", "1": "0", "2": "2"})
 PHI1 = Morphism({"0": "01", "1": "0", "2": ""})
 PHIT1 = Morphism({"0": "10", "1": "0", "2": ""})
-PI0 = Morphism({"0": "", "1": "1", "2": "2"})
-PI1 = Morphism({"0": "0", "1": "", "2": "2"})
 PI2 = Morphism({"0": "0", "1": "1", "2": ""})

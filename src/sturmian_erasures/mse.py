@@ -11,7 +11,6 @@ Sturmian projections force every image word back into the erasure class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .monoid import StCertificate, StRejection, st_membership
@@ -25,6 +24,7 @@ from .morphisms import (
     compose,
     is_unit,
 )
+from .records import Record
 from .words import erase
 
 __all__ = [
@@ -36,13 +36,13 @@ __all__ = [
     "intercalate",
     "psi",
     "primality",
+    "projection_restriction",
 ]
 
 A3 = "012"
 
 
-@dataclass(frozen=True)
-class MSEVerdict:
+class MSEVerdict(Record):
     """One of permutation / erasing-member / rejected.
 
     An erasing member records the erased letter and, for each erased
@@ -176,8 +176,7 @@ def intercalate(u, v, w):
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class PsiFamily:
+class PsiFamily(Record):
     """The n-th member of the prime family together with its three
     generator-product components (f from erasing 2, g from erasing 1, h from
     erasing 0)."""
@@ -225,8 +224,7 @@ def psi(n):
     return PsiFamily(n=n, psi=psi_n, f=f_n, g=g_n, h=h_n)
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(Record):
     """prime-certified / composite-certified / unknown."""
 
     kind: str

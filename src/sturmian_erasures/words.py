@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress, islice
 from operator import sub
 
 from .morphisms import apply
+from .records import Record
 
 __all__ = [
     "BoundedOutputError",
@@ -38,6 +38,7 @@ __all__ = [
     "fixed_point_stream",
     "mechanical_stream",
     "apply_stream",
+    "literal_stream",
     "complexity",
     "balance_order",
     "sturmian_verdict",
@@ -244,8 +245,7 @@ def apply_stream(f, s, pull_factor=64):
     return WordStream(pump, "morphic-image")
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(Record):
     """counts[n] = number of distinct length-n factors of the analyzed prefix."""
 
     max_n: int
@@ -256,8 +256,7 @@ class ComplexityProfile:
         return {str(n): self.counts[n] for n in sorted(self.counts)}
 
 
-@dataclass(frozen=True)
-class BalanceProfile:
+class BalanceProfile(Record):
     """imbalance[n] = max over letters of (max - min) letter count over
     length-n windows; order = max imbalance over the tested range."""
 
@@ -375,8 +374,7 @@ def balance_order(prefix, max_n=None):
     )
 
 
-@dataclass(frozen=True)
-class SturmianVerdict:
+class SturmianVerdict(Record):
     """Refuted carries a witness; Consistent carries the covered window size.
 
     A finite prefix can refute the Sturmian property but never prove it.
@@ -413,8 +411,7 @@ def sturmian_verdict(profile, balance):
     )
 
 
-@dataclass(frozen=True)
-class WSEVerdict:
+class WSEVerdict(Record):
     """Per-erasure Sturmian verdicts for a ternary prefix."""
 
     consistent: bool

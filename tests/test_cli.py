@@ -385,6 +385,18 @@ def test_oversized_sqrt_argument_exits_two(capsys):
     assert err.startswith("error:") and "exceeds the limit" in err
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    ["1/1" + "+1" * 999, "1/1" + "+1" * 2999, "-" * 20_000 + "1"],
+    ids=["1000-terms", "3000-terms", "20000-minus-signs"],
+)
+def test_long_number_expression_exits_two(capsys, alpha):
+    # Refused before ast.parse: these used to end in RecursionError, an error
+    # inside ast, and MemoryError.
+    code, out, err = _run(capsys, "word", "mechanical", f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert err == f"error: bad number expression: {len(alpha)} characters, more than 100\n"
+
 def test_wse_max_n_error_names_the_input_length(capsys):
     code, out, err = _run(capsys, "analyze", "wse", "012012", "--max-n", "0")
     assert code == 2 and out == ""

@@ -155,6 +155,23 @@ def test_parse_number_bounds_sqrt_argument():
     assert parse_number("sqrt(1000000000000)") == rational(10**6)
 
 
+def test_parse_number_bounds_expression_length():
+    # 100 characters pass, surrounding blanks not counted; 101 are refused.
+    assert parse_number("  " + "+".join(["1"] * 50) + "0 ") == rational(59)
+    assert parse_number("(" * 49 + "10" + ")" * 49) == rational(10)
+    with pytest.raises(ValueError, match="101 characters, more than 100"):
+        parse_number("1" + "+1" * 50)
+    # The slowest kind of 100-character input, a quotient of a product of
+    # seven sqrt sums, still evaluates.
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    text = "1/(" + "*".join(f"(1+sqrt({p}))" for p in primes) + ")"
+    assert len(text) <= 100
+    value = parse_number(text)
+    product = rational(1)
+    for p in primes:
+        product = product * (rational(1) + sqrt(p))
+    assert value * product == rational(1)
+
 def test_str_canonical_and_round_trips():
     slope = (rational(3) - sqrt(5)) / rational(2)
     assert str(slope) == "3/2 - 1/2*sqrt(5)"
