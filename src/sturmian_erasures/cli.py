@@ -202,10 +202,12 @@ def _cmd_mse_check(args):
 
 def _cmd_mse_prime(args):
     f = lib.parse_morphism(args.spec)
-    try:
-        verdict = lib.primality(f)
-    except ValueError as exc:
-        return 1, {"verdict": "rejected", "reason": str(exc)}, [f"Rejected: {exc}"], None
+    # A morphism not on 012 raises here, an input error; a non-member is a verdict.
+    member = lib.mse_membership(f)
+    if not member.accepted:
+        reason = f"not an erasing member: {member.reason}"
+        return 1, {"verdict": "rejected", "reason": reason}, [f"Rejected: {reason}"], None
+    verdict = lib.primality(f)
     label = verdict.kind.title().replace("-", "")  # prime-certified -> PrimeCertified
     lines = [f"{label}: {verdict.note}" if verdict.note else label]
     if verdict.g_factor is not None:

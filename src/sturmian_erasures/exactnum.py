@@ -11,6 +11,7 @@ doubling k; no floating point enters any decision.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = ["SqrtBasisNumber", "rational", "sqrt", "parse_number"]
@@ -75,15 +76,8 @@ def _sign_of(ints):
     if not any(c for b, c in ints.items() if b != 1):
         c = ints.get(1, 0)
         return (c > 0) - (c < 0)
-    k = 64
-    while True:
-        lo, hi = _enclose(ints, k)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        # A nonzero value is bounded away from 0; only precision is missing.
-        k *= 2
+    # An irrational value is never 0, so its floor settles its sign.
+    return 1 if _floor_of(ints, 1) >= 0 else -1
 
 
 def _floor_of(ints, den):
@@ -261,6 +255,9 @@ class SqrtBasisNumber:
         return self._coords == other._coords
 
     def __hash__(self):
+        # Equal to an int or Fraction exactly when rational, so hash as one.
+        if self.is_rational():
+            return hash(self._coords.get(1, 0))
         return hash(tuple(sorted(self._coords.items())))
 
     def __lt__(self, other):
@@ -320,7 +317,7 @@ def sqrt(k):
 # inverting a product of sqrt sums costs about 16x more per distinct sqrt
 # factor, and 100 characters hold at most seven of them.
 _EXPR_MAX = 100
-_BINOPS = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}
+_BINOPS = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul, "Div": operator.truediv}
 
 
 def parse_number(text):
@@ -352,16 +349,7 @@ def _eval_node(node):
             f"unsupported literal {node.value!r}: use integers and p/q rationals"
         )
     if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINOPS:
-        left = _eval_node(node.left)
-        right = _eval_node(node.right)
-        op = _BINOPS[type(node.op).__name__]
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        return left / right
+        return _BINOPS[type(node.op).__name__](_eval_node(node.left), _eval_node(node.right))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         value = _eval_node(node.operand)
         return -value if isinstance(node.op, ast.USub) else value

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .monoid import StCertificate, StRejection, st_membership
+from .monoid import StRejection, st_membership
 from .morphisms import (
     E0,
     E2,
@@ -25,7 +25,6 @@ from .morphisms import (
     is_unit,
 )
 from .records import Record
-from .words import erase
 
 __all__ = [
     "MSEVerdict",
@@ -150,30 +149,24 @@ def intercalate(u, v, w):
     """The unique ternary word with erasures u (no 2), v (no 1), w (no 0),
     or None when the three words are not compatible.
 
-    At each step at most one rule can fire: emitting 0 and 1 disagree on the
-    front of u, emitting 0 and 2 disagree on the front of v, emitting 1 and 2
-    disagree on the front of w.
+    The 1s of u and of w are the 1s of the word, so they split it into
+    blocks; block i holds the 0s of the i-th block of u and the 2s of the
+    i-th block of w, in the order the next slice of v gives.
     """
     if set(u) - set("01") or set(v) - set("02") or set(w) - set("12"):
         raise ValueError("intercalate expects words over 01, 02 and 12")
-    iu = iv = iw = 0
-    out = []
-    while iu < len(u) or iv < len(v) or iw < len(w):
-        if iu < len(u) and u[iu] == "0" and iv < len(v) and v[iv] == "0":
-            out.append("0")
-            iu += 1
-            iv += 1
-        elif iu < len(u) and u[iu] == "1" and iw < len(w) and w[iw] == "1":
-            out.append("1")
-            iu += 1
-            iw += 1
-        elif iv < len(v) and v[iv] == "2" and iw < len(w) and w[iw] == "2":
-            out.append("2")
-            iv += 1
-            iw += 1
-        else:
+    zeros, twos = u.split("1"), w.split("1")
+    if len(zeros) != len(twos) or len(v) != u.count("0") + w.count("2"):
+        return None
+    blocks = []
+    end = 0
+    for z, t in zip(zeros, twos):
+        start, end = end, end + len(z) + len(t)
+        block = v[start:end]
+        if block.count("0") != len(z):
             return None
-    return "".join(out)
+        blocks.append(block)
+    return "1".join(blocks)
 
 
 class PsiFamily(Record):
@@ -215,10 +208,11 @@ def psi(n):
     h_n = compose(h_n, PI2)
 
     for a in A3:
+        image = psi_n.images[a]
         if (
-            erase(psi_n.images[a], "2") != f_n.images[a]
-            or erase(psi_n.images[a], "1") != g_n.images[a]
-            or erase(psi_n.images[a], "0") != h_n.images[a]
+            image.replace("2", "") != f_n.images[a]
+            or image.replace("1", "") != g_n.images[a]
+            or image.replace("0", "") != h_n.images[a]
         ):
             raise RuntimeError(f"projection identity failed for psi_{n} on {a!r}")
     return PsiFamily(n=n, psi=psi_n, f=f_n, g=g_n, h=h_n)

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from operator import sub
 
-from .morphisms import apply
+from .morphisms import PHI, apply
 from .records import Record
 
 __all__ = [
@@ -103,19 +103,14 @@ class WordStream:
         return self._buf[:length]
 
 
-def literal_stream(w, source="literal"):
+def literal_stream(w):
     """A stream over a fixed finite word (errors past its end)."""
-    state = {"served": 0}
+    chunks = iter((w,))
 
     def pump(_need):
-        if state["served"] >= len(w):
-            raise BoundedOutputError(
-                f"{source} stream ended at {len(w)} letters"
-            )
-        state["served"] = len(w)
-        return w
+        return next(chunks, "")
 
-    return WordStream(pump, source)
+    return WordStream(pump)
 
 
 def fixed_point_stream(f, seed):
@@ -159,12 +154,8 @@ def fixed_point_stream(f, seed):
 
 
 def fibonacci_stream():
-    """Fixed point of 0 -> 01, 1 -> 0 (imported lazily to avoid a cycle)."""
-    from .morphisms import PHI
-
-    stream = fixed_point_stream(PHI, "0")
-    stream.source = "fixed-point"
-    return stream
+    """Fixed point of 0 -> 01, 1 -> 0."""
+    return fixed_point_stream(PHI, "0")
 
 
 def mechanical_stream(alpha, rho):
@@ -207,11 +198,14 @@ def mechanical_stream(alpha, rho):
     return WordStream(pump, "mechanical")
 
 
-def apply_stream(f, s, pull_factor=64):
+_PULL_FACTOR = 64
+
+
+def apply_stream(f, s):
     """Lazy image of a stream under a morphism.
 
-    Raises BoundedOutputError when pull_factor * L input letters yield fewer
-    than L output letters.
+    Raises BoundedOutputError when _PULL_FACTOR * L input letters yield
+    fewer than L output letters.
     """
     state = {"consumed": 0, "produced": 0, "step_cap": None}
 
@@ -220,10 +214,10 @@ def apply_stream(f, s, pull_factor=64):
         out = []
         got = 0
         while got < need:
-            if state["consumed"] >= pull_factor * target:
+            if state["consumed"] >= _PULL_FACTOR * target:
                 raise BoundedOutputError(
                     f"morphic image produced {state['produced'] + got} letters "
-                    f"from {state['consumed']} inputs (factor {pull_factor})"
+                    f"from {state['consumed']} inputs (factor {_PULL_FACTOR})"
                 )
             step = state["step_cap"] or max(need, 256)
             start = state["consumed"]

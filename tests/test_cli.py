@@ -273,6 +273,14 @@ def test_mse_prime(capsys):
     assert out.startswith("Rejected: not an erasing member")
 
 
+def test_mse_prime_wrong_alphabet_is_an_input_error(capsys):
+    # Only a non-member is a rejection; a morphism not on 012 is bad input.
+    for command in ("check", "prime"):
+        code, out, err = _run(capsys, "mse", command, "--spec", "0=0,1=1")
+        assert (code, out) == (2, "")
+        assert err == "error: mse_membership expects a morphism on 012\n"
+
+
 def test_mse_psi(capsys):
     code, out, _ = _run(capsys, "mse", "psi", "--n", "2")
     assert code == 0

@@ -191,6 +191,16 @@ def test_normalization_collapses_square_factors():
     assert SqrtBasisNumber({4: Fraction(1)}) == rational(2)
 
 
+def test_rational_values_hash_as_int_and_fraction():
+    for q in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        x = rational(q)
+        assert x == q and hash(x) == hash(q)
+        assert len({x, q}) == 1
+        assert {q: "q"}[x] == "q" and {x: "x"}[q] == "x"
+    assert {rational(1), 1, sqrt(4) / 2, Fraction(2, 2)} == {1}
+    assert len({sqrt(2), sqrt(2) + 0, rational(2)}) == 2
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         rational(1) / rational(0)

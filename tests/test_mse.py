@@ -158,6 +158,46 @@ def test_intercalate_examples():
         intercalate("01", "02", "10")
 
 
+def _intercalate_reference(u, v, w):
+    """Letter-by-letter intercalation: at each step at most one rule can
+    fire, since emitting 0 and 1 disagree on the front of u, emitting 0 and 2
+    on the front of v, and emitting 1 and 2 on the front of w."""
+    iu = iv = iw = 0
+    out = []
+    while iu < len(u) or iv < len(v) or iw < len(w):
+        if iu < len(u) and u[iu] == "0" and iv < len(v) and v[iv] == "0":
+            out.append("0")
+            iu += 1
+            iv += 1
+        elif iu < len(u) and u[iu] == "1" and iw < len(w) and w[iw] == "1":
+            out.append("1")
+            iu += 1
+            iw += 1
+        elif iv < len(v) and v[iv] == "2" and iw < len(w) and w[iw] == "2":
+            out.append("2")
+            iv += 1
+            iw += 1
+        else:
+            return None
+    return "".join(out)
+
+
+def _words_up_to(alphabet, n):
+    return ["".join(p) for k in range(n + 1) for p in itertools.product(alphabet, repeat=k)]
+
+
+def test_intercalate_matches_letterwise_reference():
+    # Every triple of words of length <= 4: 31**3 = 29,791, most incompatible.
+    compatible = 0
+    for u in _words_up_to("01", 4):
+        for v in _words_up_to("02", 4):
+            for w in _words_up_to("12", 4):
+                expected = _intercalate_reference(u, v, w)
+                assert intercalate(u, v, w) == expected, (u, v, w)
+                compatible += expected is not None
+    assert compatible == 361
+
+
 def test_intercalate_round_trip():
     rng = random.Random(47)
     for _ in range(500):

@@ -67,6 +67,17 @@ def test_morphism_command_loads_only_what_it_runs():
     assert "dataclasses" not in modules
 
 
+def test_mse_command_loads_neither_words_nor_exactnum():
+    out, modules = _modules_after(
+        "from sturmian_erasures.cli import run\n"
+        "assert run(['mse', 'check', '--spec', '0=02,1=10,2=']) == 0"
+    )
+    assert out[0] == "ErasingMember (erases 2)"
+    assert _library(modules) == {
+        f"sturmian_erasures.{name}" for name in ("cli", "mse", "monoid", "morphisms", "records")
+    }
+
+
 FIB = parse_morphism("0=01,1=0")
 MEMBER = parse_morphism("0=02,1=10,2=")
 NO = dataclasses.MISSING
