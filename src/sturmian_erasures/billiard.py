@@ -9,6 +9,7 @@ involves a single coordinate this is a word over the three letters.
 
 from __future__ import annotations
 
+from fractions import Fraction
 
 from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _sign_of, rational
 from .records import Record
@@ -65,44 +66,51 @@ class CrossingEvent(Record):
         return {"t": str(self.t), "omega": list(self.omega)}
 
 
-def _crossings(config):
+def _time_rows(config):
+    """Coordinate i crosses x = m at t = m*x_i - y_i with x_i = 1/d_i and
+    y_i = rho_i/d_i.  Returns ({i: [(key, X, Y), ...]}, den) over the moving
+    coordinates i, where x_i = sum(X*sqrt(key))/den and y_i likewise, with
+    one sorted key list and one den > 0 for every coordinate."""
+    moving = [i for i in range(3) if config.d[i].sign() > 0]
+    xs = [1 / config.d[i] for i in moving]
+    ints, den = _common_scale(*xs, *(config.rho[i] * x for i, x in zip(moving, xs)))
+    keys = sorted(set().union(*ints))
+    rows = {
+        i: [(key, x.get(key, 0), y.get(key, 0)) for key in keys]
+        for i, x, y in zip(moving, ints, ints[len(xs) :])
+    }
+    return rows, den
+
+
+def _crossings(rows):
     """Yield (m, omega) forever, in increasing time order.
 
     omega is the ascending tuple of coordinates crossing together and m the
-    hyperplane x = m that omega[0] crosses.  Coordinate i crosses x = m at
-    t = (m - rho_i)/d_i, and t_a < t_b exactly when
-    m_a*d_b - m_b*d_a + K_ab < 0 with K_ab = rho_b*d_a - rho_a*d_b.  Each
-    comparison first adds integer enclosures of d_b, d_a and K_ab scaled by
-    2**64 over one denominator, precomputed per pair; only an interval that
-    holds 0 falls back to the exact sign of the integer vector.
+    hyperplane x = m that omega[0] crosses.  Each coordinate's next time is
+    an integer enclosure lo <= 2**64 * den * t <= hi, which moves on by the
+    enclosure of x_i when the coordinate crosses.  Only enclosures that
+    overlap fall back to the exact sign of the integer difference, and equal
+    times fuse.
     """
-    moving = [i for i in range(3) if config.d[i].sign() > 0]
-    counters = [0 if config.rho[i].sign() == 0 else 1 for i in moving]
-    pairs = {}
-    for pa, a in enumerate(moving):
-        for pb, b in enumerate(moving[:pa]):
-            d_a, d_b = config.d[a], config.d[b]
-            k_ab = config.rho[b] * d_a - config.rho[a] * d_b
-            (vb, va, vk), _ = _common_scale(d_b, d_a, k_ab)
-            lo_b, hi_b = _enclose(vb, 64)
-            lo_a, hi_a = _enclose(va, 64)
-            lo_k, hi_k = _enclose(vk, 64)
-            rows = [
-                (key, vb.get(key, 0), va.get(key, 0), vk.get(key, 0))
-                for key in sorted(vb.keys() | va.keys() | vk.keys())
-            ]
-            pairs[pa, pb] = (lo_b, hi_b, lo_a, hi_a, lo_k, hi_k, rows)
+    moving, table = list(rows), list(rows.values())
+    # Coordinate i first crosses at the least integer m >= rho_i.
+    counters = [1 if any(y for _, _, y in row) else 0 for row in table]
+    steps = [_enclose({key: x for key, x, _ in row}, 64) for row in table]
+    first = [{key: m * x - y for key, x, y in row} for m, row in zip(counters, table)]
+    lo, hi = map(list, zip(*(_enclose(t, 64) for t in first)))
     while True:
         best = [0]
         for pos in range(1, len(moving)):
-            lo_b, hi_b, lo_a, hi_a, lo_k, hi_k, rows = pairs[pos, best[0]]
-            ma, mb = counters[pos], counters[best[0]]
-            if ma * lo_b - mb * hi_a + lo_k > 0:
+            b = best[0]
+            if lo[pos] > hi[b]:
                 cmp = 1
-            elif ma * hi_b - mb * lo_a + hi_k < 0:
+            elif hi[pos] < lo[b]:
                 cmp = -1
             else:
-                cmp = _sign_of({key: ma * x - mb * y + z for key, x, y, z in rows})
+                cmp = _sign_of({
+                    key: counters[pos] * xa - ya - counters[b] * xb + yb
+                    for (key, xa, ya), (_, xb, yb) in zip(table[pos], table[b])
+                })
             if cmp < 0:
                 best = [pos]
             elif cmp == 0:
@@ -110,6 +118,8 @@ def _crossings(config):
         yield counters[best[0]], tuple(map(moving.__getitem__, best))
         for pos in best:
             counters[pos] += 1
+            lo[pos] += steps[pos][0]
+            hi[pos] += steps[pos][1]
 
 
 def event_stream(config):
@@ -119,19 +129,10 @@ def event_stream(config):
     m - rho_i >= 0 and then at every following integer; coordinates with
     d_i = 0 never cross.  Simultaneous crossings fuse into one event.
     """
-    # t = m*(1/d_i) - rho_i/d_i, both constants fixed per coordinate
-    times = {}
-    for i in range(3):
-        if config.d[i].sign() > 0:
-            inv = 1 / config.d[i]
-            x, y = inv.coords, (config.rho[i] * inv).coords
-            times[i] = [
-                (key, x.get(key, 0), y.get(key, 0))
-                for key in sorted(x.keys() | y.keys())
-            ]
-    for m, omega in _crossings(config):
+    rows, den = _time_rows(config)
+    for m, omega in _crossings(rows):
         t = SqrtBasisNumber._from_squarefree(
-            {key: m * x - y for key, x, y in times[omega[0]]}
+            {key: Fraction(m * x - y, den) for key, x, y in rows[omega[0]]}
         )
         yield CrossingEvent(t=t, omega=omega)
 
@@ -142,7 +143,7 @@ def billiard_word(config):
     Each event contributes one block: its crossing coordinates in ascending
     order, so simultaneous crossings appear as "01", "02", "12" or "012".
     """
-    crossings = _crossings(config)
+    crossings = _crossings(_time_rows(config)[0])
 
     def pump(need):
         out = []

@@ -3,8 +3,8 @@
 Exit status: 0 when the analysis accepts (or simply reports), 1 when a
 verdict refutes or rejects, 2 on usage or input errors.  Words are read from
 the positional argument, from --file, or from standard input.  Generated
-prefixes are at most MAX_LENGTH (10^7) letters long, and `analyze` refuses
-an input longer than its --length.
+prefixes and morphism images are at most MAX_LENGTH (10^7) letters long, and
+`analyze` refuses an input longer than its --length.
 
 Every command is one handler in COMMANDS.  A handler returns
 (exit code, JSON payload, text lines, CSV rows or None), and `_emit` prints
@@ -26,7 +26,7 @@ __all__ = ["build_parser", "run", "main"]
 
 DEFAULT_LENGTH = 10_000
 DEFAULT_MAX_N = 30
-# Generated prefixes are built in memory, so their length is capped.
+# Generated prefixes and images are built in memory, so their length is capped.
 MAX_LENGTH = 10_000_000
 
 
@@ -66,10 +66,17 @@ def _read_word(args):
     return "".join(text.split())
 
 
-def _generated_length(args):
-    if args.length > MAX_LENGTH:
-        raise ValueError(f"--length {args.length} exceeds the ceiling {MAX_LENGTH}")
-    return args.length
+def _capped(what, value, ceiling=MAX_LENGTH):
+    """The value, or a ValueError when it is above the ceiling; callers check
+    a size before they build anything of that size."""
+    if value > ceiling:
+        raise ValueError(f"{what} {value} exceeds the ceiling {ceiling}")
+    return value
+
+
+def _image_length(f, words):
+    """Letters in the images of the words under f, from letter counts alone."""
+    return sum(len(image) * w.count(a) for w in words for a, image in f.images.items())
 
 
 def _word(word):
@@ -77,17 +84,17 @@ def _word(word):
 
 
 def _cmd_word_fib(args):
-    return _word(lib.fibonacci_stream().prefix(_generated_length(args)))
+    return _word(lib.fibonacci_stream().prefix(_capped("--length", args.length)))
 
 
 def _cmd_word_mechanical(args):
-    length = _generated_length(args)
+    length = _capped("--length", args.length)
     stream = lib.mechanical_stream(lib.parse_number(args.alpha), lib.parse_number(args.rho))
     return _word(stream.prefix(length))
 
 
 def _cmd_word_fixed_point(args):
-    length = _generated_length(args)
+    length = _capped("--length", args.length)
     return _word(lib.fixed_point_stream(lib.parse_morphism(args.spec), args.seed).prefix(length))
 
 
@@ -143,13 +150,15 @@ def _cmd_analyze_wse(args):
 
 
 def _cmd_morphism_apply(args):
-    f = lib.parse_morphism(args.spec)
-    return _word(f(_read_word(args)))
+    f, word = lib.parse_morphism(args.spec), _read_word(args)
+    _capped("image length", _image_length(f, [word]))
+    return _word(f(word))
 
 
 def _cmd_morphism_compose(args):
     outer = lib.parse_morphism(args.spec)
     inner = lib.parse_morphism(getattr(args, "with"))
+    _capped("image length", _image_length(outer, inner.images.values()))
     text = lib.format_morphism(lib.compose(outer, inner))
     return 0, {"morphism": text}, [text], None
 
@@ -229,10 +238,7 @@ def _psi_ceiling():
 
 def _cmd_mse_psi(args):
     # Refused before any image is built: psi_n takes memory exponential in n.
-    ceiling = _psi_ceiling()
-    if args.n > ceiling:
-        raise ValueError(f"--n {args.n} exceeds the ceiling {ceiling}")
-    family = lib.psi(args.n)
+    family = lib.psi(_capped("--n", args.n, _psi_ceiling()))
     parts = {part: lib.format_morphism(getattr(family, part)) for part in ("psi", "f", "g", "h")}
     return 0, {"n": family.n, **parts}, [parts["psi"]], None
 
@@ -249,7 +255,7 @@ def _billiard_config(args):
 
 
 def _cmd_billiard_code(args):
-    length = _generated_length(args)
+    length = _capped("--length", args.length)
     config = _billiard_config(args)
     # All three views are lazy: only the one printed is ever generated, and
     # the event log is written event by event, so memory stays flat in --length.

@@ -39,19 +39,6 @@ def _squarefree_split(k):
     return m, d * n
 
 
-# Cached integer enclosures: s <= 2**k * sqrt(b) < s + 1 with s = isqrt(b * 4**k).
-_BOUND_CACHE = {}
-
-
-def _sqrt_floor(b, k):
-    key = (b, k)
-    s = _BOUND_CACHE.get(key)
-    if s is None:
-        s = math.isqrt(b << (2 * k))
-        _BOUND_CACHE[key] = s
-    return s
-
-
 def _enclose(ints, k):
     """Integers lo <= 2**k * x <= hi for x = sum(c * sqrt(b)) over the
     integer coefficients c of the square-free keys b in ints."""
@@ -61,7 +48,8 @@ def _enclose(ints, k):
             lo += c << k
             hi += c << k
             continue
-        s = _sqrt_floor(b, k)
+        # s <= 2**k * sqrt(b) < s + 1
+        s = math.isqrt(b << (2 * k))
         lo += c * s
         hi += c * s
         if c > 0:

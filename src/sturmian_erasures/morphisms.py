@@ -264,9 +264,9 @@ def classify_letters(f):
     )
 
 
-def is_unit(f, classification=None):
+def is_unit(f):
     """Neither nilpotent (some power erases every letter) nor expansive."""
-    c = classification or classify_letters(f)
+    c = classify_letters(f)
     return len(c.nilpotent) < len(f.domain) and not c.expansive
 
 

@@ -101,7 +101,7 @@ def mse_membership(f):
             witness="members either permute 012 or erase a letter",
         )
     i = erased[0]
-    filt = length_filter(f, erased_letter=i)
+    filt = length_filter(f)
     if filt is not None:
         return MSEVerdict(kind="rejected", reason="length-filter", witness=filt)
     certificates = {}
@@ -117,21 +117,17 @@ def mse_membership(f):
     return MSEVerdict(kind="erasing-member", erased=i, certificates=certificates)
 
 
-def length_filter(f, erased_letter=None):
+def length_filter(f):
     """Necessary conditions for an erasing member: None on pass, else a witness.
 
     With i erased and {j,k} the other letters, each of f(j), f(k) must have
     length >= 2, contain at least one non-erased letter, and each of j, k
     must occur somewhere in f(j)f(k).
     """
-    if erased_letter is None:
-        empties = [i for i in A3 if f.images[i] == ""]
-        if not empties:
-            raise ValueError("length_filter expects a morphism erasing a letter")
-        erased_letter = empties[0]
-    elif f.images[erased_letter] != "":
-        raise ValueError(f"letter {erased_letter!r} is not erased")
-    others = [a for a in A3 if a != erased_letter]
+    erased = [i for i in A3 if f.images[i] == ""]
+    if not erased:
+        raise ValueError("length_filter expects a morphism erasing a letter")
+    others = [a for a in A3 if a != erased[0]]
     for a in others:
         image = f.images[a]
         if len(image) < 2:

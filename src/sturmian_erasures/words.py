@@ -138,17 +138,25 @@ def fixed_point_stream(f, seed):
     if empty:
         raise ValueError(f"morphism erases reachable letters {empty}")
 
-    state = {"word": seed, "served": 0}
+    def chunks():
+        # f^n(seed) = seed p f(p) ... f^(n-1)(p) with p = f(seed)[len(seed):],
+        # so after the seed each chunk is the image of the one before it.
+        yield seed
+        chunk = image[len(seed):]
+        while chunk:
+            yield chunk
+            chunk = apply(f, chunk)
 
-    def pump(_need):
-        # Iterating w -> f(w) extends the previous word, so after the seed
-        # itself each pump emits the newly grown suffix.
-        if state["served"] == len(state["word"]):
-            prev = state["word"]
-            state["word"] = apply(f, prev)
-        chunk = state["word"][state["served"]:]
-        state["served"] = len(state["word"])
-        return chunk
+    pending = chunks()
+
+    def pump(need):
+        out = []
+        for chunk in pending:
+            out.append(chunk)
+            need -= len(chunk)
+            if need <= 0:
+                break
+        return "".join(out)
 
     return WordStream(pump, "fixed-point")
 

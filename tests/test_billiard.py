@@ -91,6 +91,23 @@ def test_fast_path_matches_reference_ordering(config):
     assert billiard_word(config).prefix(400) == word[:400]
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        TIE,
+        BilliardConfig(d=(3, 5, 7), rho=(0, 0, 0)),
+        BilliardConfig(
+            d=(1, sqrt(2), sqrt(3)),
+            rho=(0, parse_number("sqrt(2)/2"), parse_number("sqrt(3)/3")),
+        ),
+    ],
+)
+def test_advanced_enclosures_match_reference_far_out(config):
+    # Each crossing widens its coordinate's enclosure, so check far from the start.
+    expected = list(itertools.islice(_reference_events(config), 3000))
+    assert _events(config, 3000) == expected
+
+
 def test_tie_config_fuses_events():
     omegas = [e.omega for e in _events(TIE, 400)]
     assert omegas.count((0, 1, 2)) == 1 and omegas.count((1, 2)) > 50

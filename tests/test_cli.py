@@ -160,6 +160,24 @@ def test_morphism_compose(capsys):
     assert out.strip() == "0=0012,1=10,2="
 
 
+LONG_IMAGE = "0=" + "0" * 10_001 + ",1=1"
+
+
+def test_morphism_apply_above_ceiling_exits_two(capsys):
+    # 1,000 letters with images of 10,001 letters: refused before the image is built.
+    code, out, err = _run(capsys, "morphism", "apply", "--spec", LONG_IMAGE, "0" * 1000)
+    assert code == 2 and out == ""
+    assert err == "error: image length 10001000 exceeds the ceiling 10000000\n"
+
+
+def test_morphism_compose_above_ceiling_exits_two(capsys):
+    code, out, err = _run(
+        capsys, "morphism", "compose", "--spec", LONG_IMAGE, "--with", "0=" + "0" * 1000 + ",1="
+    )
+    assert code == 2 and out == ""
+    assert err == "error: image length 10001000 exceeds the ceiling 10000000\n"
+
+
 def test_morphism_matrix(capsys):
     code, out, _ = _run(capsys, "morphism", "matrix", "--spec", "0=01,1=0")
     assert code == 0

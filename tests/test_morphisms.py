@@ -215,6 +215,6 @@ def test_classification_partition_exhaustive():
                     bounded = a not in c.expansive
                     assert bounded == (trace[23][j] == trace[11][j])
                 # A unit keeps some letter alive and every length bounded.
-                assert is_unit(f, c) == (
+                assert is_unit(f) == (
                     any(trace[23]) and all(trace[23][j] == trace[11][j] for j in range(3))
                 )

@@ -125,8 +125,6 @@ def test_length_filter():
     )
     with pytest.raises(ValueError):
         length_filter(parse_morphism("0=0,1=1,2=2"))
-    with pytest.raises(ValueError):
-        length_filter(EX1_G, erased_letter="0")
 
 
 def test_every_member_passes_length_filter():

@@ -21,7 +21,8 @@ from sturmian_erasures import (
     sturmian_verdict,
     wse_verdict,
 )
-from sturmian_erasures.morphisms import ID2, PHI, compose
+import sturmian_erasures.words as words_module
+from sturmian_erasures.morphisms import ID2, PHI, Morphism, compose
 
 from conftest import fib_prefix
 
@@ -90,6 +91,39 @@ def test_fixed_point_stream():
         fixed_point_stream(ID2, "0")
     with pytest.raises(ValueError):
         fixed_point_stream(parse_morphism("0=01,1="), "0")
+
+
+def test_fixed_point_stream_applies_f_to_each_letter_once(monkeypatch):
+    # x = f(seed) f(p) f^2(p) ... with p = f(seed)[len(seed):]: on a slowly
+    # growing morphism, re-applying f to the whole word would be quadratic.
+    passed = []
+
+    def counting_apply(f, w):
+        passed.append(len(w))
+        return apply(f, w)
+
+    monkeypatch.setattr(words_module, "apply", counting_apply)
+    length = 20_000
+    word = fixed_point_stream(parse_morphism("0=01,1=1"), "0").prefix(length)
+    assert word == "0" + "1" * (length - 1)
+    assert sum(passed) <= 2 * length
+
+
+def test_fixed_point_stream_matches_iterated_images():
+    rng = random.Random(11)
+    for _ in range(200):
+        images = {a: "".join(rng.choice("012") for _ in range(rng.randrange(1, 4))) for a in "012"}
+        images["0"] = "0" + "".join(rng.choice("012") for _ in range(rng.randrange(1, 4)))
+        f = Morphism(images)
+        stream = fixed_point_stream(f, "0")
+        length = rng.randrange(1, 300)
+        w = "0"
+        while len(w) < length:
+            w = apply(f, w)
+        # Two requests, so a later pump resumes where an earlier one stopped.
+        short = rng.randrange(length + 1)
+        assert stream.prefix(short) == w[:short]
+        assert stream.prefix(length) == w[:length]
 
 
 def test_mechanical_examples():
