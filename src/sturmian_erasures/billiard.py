@@ -9,7 +9,10 @@ involves a single coordinate this is a word over the three letters.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain, compress, count, repeat
+from operator import and_, sub
 
 from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _sign_of, rational
 from .records import Record
@@ -82,44 +85,103 @@ def _time_rows(config):
     return rows, den
 
 
-def _crossings(rows):
-    """Yield (m, omega) forever, in increasing time order.
+class _Crossings:
+    """Enclosures lo[pos] <= 2**64 * den * t <= hi[pos] of the time t at which
+    coordinate moving[pos] next crosses x = counters[pos]; each crossing moves
+    them on by steps[pos], the enclosure of x_i."""
 
-    omega is the ascending tuple of coordinates crossing together and m the
-    hyperplane x = m that omega[0] crosses.  Each coordinate's next time is
-    an integer enclosure lo <= 2**64 * den * t <= hi, which moves on by the
-    enclosure of x_i when the coordinate crosses.  Only enclosures that
-    overlap fall back to the exact sign of the integer difference, and equal
-    times fuse.
-    """
-    moving, table = list(rows), list(rows.values())
-    # Coordinate i first crosses at the least integer m >= rho_i.
-    counters = [1 if any(y for _, _, y in row) else 0 for row in table]
-    steps = [_enclose({key: x for key, x, _ in row}, 64) for row in table]
-    first = [{key: m * x - y for key, x, y in row} for m, row in zip(counters, table)]
-    lo, hi = map(list, zip(*(_enclose(t, 64) for t in first)))
-    while True:
+    def __init__(self, rows):
+        self.moving, self.table = list(rows), list(rows.values())
+        # Coordinate i first crosses at the least integer m >= rho_i.
+        self.counters = [1 if any(y for _, _, y in row) else 0 for row in self.table]
+        self.steps = [_enclose({key: x for key, x, _ in row}, 64) for row in self.table]
+        first = [{key: m * x - y for key, x, y in row} for m, row in zip(self.counters, self.table)]
+        self.lo, self.hi = map(list, zip(*(_enclose(t, 64) for t in first)))
+
+    def compare(self, a, ja, b, jb):
+        """Sign of t_a - t_b for the crossings ja and jb after the next ones of
+        the coordinates at positions a and b, exact where enclosures overlap."""
+        (sa, wa), (sb, wb) = self.steps[a], self.steps[b]
+        if self.lo[a] + ja * sa > self.hi[b] + jb * wb:
+            return 1
+        if self.hi[a] + ja * wa < self.lo[b] + jb * sb:
+            return -1
+        ma, mb = self.counters[a] + ja, self.counters[b] + jb
+        return _sign_of({
+            key: ma * xa - ya - mb * xb + yb
+            for (key, xa, ya), (_, xb, yb) in zip(self.table[a], self.table[b])
+        })
+
+    def _exact(self, u, v):
+        """compare() on two tagged lower bounds; ties by coordinate."""
+        a, b = self.moving.index((u & 63) - 48), self.moving.index((v & 63) - 48)
+        ja = ((u >> 6) - self.lo[a]) // self.steps[a][0]
+        jb = ((v >> 6) - self.lo[b]) // self.steps[b][0]
+        return self.compare(a, ja, b, jb) or a - b
+
+    def advance(self, pos, count):
+        self.counters[pos] += count
+        self.lo[pos] += count * self.steps[pos][0]
+        self.hi[pos] += count * self.steps[pos][1]
+
+    def step(self):
+        """The next event as (m, omega), omega[0] crossing x = m; equal times
+        fuse, their coordinates in ascending order."""
         best = [0]
-        for pos in range(1, len(moving)):
-            b = best[0]
-            if lo[pos] > hi[b]:
-                cmp = 1
-            elif hi[pos] < lo[b]:
-                cmp = -1
-            else:
-                cmp = _sign_of({
-                    key: counters[pos] * xa - ya - counters[b] * xb + yb
-                    for (key, xa, ya), (_, xb, yb) in zip(table[pos], table[b])
-                })
+        for pos in range(1, len(self.moving)):
+            cmp = self.compare(pos, 0, best[0], 0)
             if cmp < 0:
                 best = [pos]
             elif cmp == 0:
                 best.append(pos)
-        yield counters[best[0]], tuple(map(moving.__getitem__, best))
         for pos in best:
-            counters[pos] += 1
-            lo[pos] += steps[pos][0]
-            hi[pos] += steps[pos][1]
+            self.advance(pos, 1)
+        return self.counters[best[0]] - 1, tuple(map(self.moving.__getitem__, best))
+
+    def letters(self, need):
+        """The letters of the next events: about max(need, 256) of them, at
+        most about 4096, and always at least one event's block.
+
+        Each coordinate's lower bounds form a progression.  Below a horizon
+        c it adds its crossings and one sentinel at or past c, each tagged
+        64*lo + ord(letter), and one sort merges them.  With W the widest
+        enclosure, bounds more than W apart are in certain order and runs
+        of closer ones (clusters) are re-sorted exactly.  What precedes the
+        first sentinel's cluster is committed.  When nothing is, or when an
+        enclosure is as wide as the shortest step, one exact step is taken.
+        """
+        lo, hi, steps, end = self.lo, self.hi, self.steps, 0
+        if min(s for s, _ in steps) > max(map(sub, hi, lo)):
+            # About min(max(need, 256), 4096) crossings lie below c, and none
+            # of them widens its enclosure by more than a quarter step.
+            top = max(s for s, _ in steps) << 8
+            size = min(max(need, 256), 4096) * top // sum(top // s for s, _ in steps)
+            c = min(lo) + max(1, min([size] + [s * s // (4 * (w - s)) for s, w in steps if w > s]))
+            ranges, sentinels, width = [], [], 0
+            for pos, i in enumerate(self.moving):
+                (s, w), first = steps[pos], lo[pos]
+                k = max(0, -((first - c) // s))  # crossings with lower bound below c
+                sentinels.append(64 * (first + k * s) + 48 + i)
+                ranges.append(range(64 * first + 48 + i, sentinels[-1] + 1, 64 * s))
+                width = max(width, hi[pos] - first + k * (w - s))
+            merged = sorted(chain(*ranges))
+            end = bisect_left(merged, min(sentinels))
+            # A tagged gap above 64W + 63 is a gap above W between lower
+            # bounds; the others link the neighbours of one cluster.
+            gaps = map(sub, merged[1 : end + 1], merged)
+            links = list(compress(count(), map((64 * width + 63).__ge__, gaps))) if width else []
+            while links and links[-1] == end - 1:
+                end = links.pop()
+            for at in links:  # insertion sort; it never leaves its cluster
+                while at >= 0 and self._exact(merged[at], merged[at + 1]) > 0:
+                    merged[at], merged[at + 1] = merged[at + 1], merged[at]
+                    at -= 1
+        if not end:
+            return "".join(map(str, self.step()[1]))
+        word = bytes(map(and_, merged[:end], repeat(63))).decode()
+        for pos, i in enumerate(self.moving):
+            self.advance(pos, word.count(str(i)))
+        return word
 
 
 def event_stream(config):
@@ -130,7 +192,7 @@ def event_stream(config):
     d_i = 0 never cross.  Simultaneous crossings fuse into one event.
     """
     rows, den = _time_rows(config)
-    for m, omega in _crossings(rows):
+    for m, omega in iter(_Crossings(rows).step, None):
         t = SqrtBasisNumber._from_squarefree(
             {key: Fraction(m * x - y, den) for key, x, y in rows[omega[0]]}
         )
@@ -143,18 +205,7 @@ def billiard_word(config):
     Each event contributes one block: its crossing coordinates in ascending
     order, so simultaneous crossings appear as "01", "02", "12" or "012".
     """
-    crossings = _crossings(_time_rows(config)[0])
-
-    def pump(need):
-        out = []
-        total = 0
-        while total < need:
-            block = "".join(map(str, next(crossings)[1]))
-            out.append(block)
-            total += len(block)
-        return "".join(out)
-
-    return WordStream(source="billiard", pump=pump)
+    return WordStream(source="billiard", pump=_Crossings(_time_rows(config)[0]).letters)
 
 
 def classify(config):

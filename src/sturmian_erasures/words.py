@@ -92,14 +92,18 @@ class WordStream:
     def prefix(self, length):
         if length < 0:
             raise ValueError("length must be >= 0")
-        while len(self._buf) < length:
-            chunk = self._pump(length - len(self._buf))
-            if not chunk:
-                raise BoundedOutputError(
-                    f"{self.source} stream ended at {len(self._buf)} letters, "
-                    f"{length} requested"
-                )
-            self._buf += chunk
+        # One join per call keeps a prefix pumped in many chunks linear.
+        chunks, have = [self._buf], len(self._buf)
+        try:
+            while have < length:
+                chunks.append(self._pump(length - have))
+                if not chunks[-1]:
+                    raise BoundedOutputError(
+                        f"{self.source} stream ended at {have} letters, {length} requested"
+                    )
+                have += len(chunks[-1])
+        finally:
+            self._buf = "".join(chunks)
         return self._buf[:length]
 
 
@@ -138,25 +142,20 @@ def fixed_point_stream(f, seed):
     if empty:
         raise ValueError(f"morphism erases reachable letters {empty}")
 
-    def chunks():
-        # f^n(seed) = seed p f(p) ... f^(n-1)(p) with p = f(seed)[len(seed):],
-        # so after the seed each chunk is the image of the one before it.
-        yield seed
-        chunk = image[len(seed):]
-        while chunk:
-            yield chunk
-            chunk = apply(f, chunk)
-
-    pending = chunks()
+    # f^n(seed) = seed p f(p) ... f^(n-1)(p) with p = f(seed)[len(seed):], so
+    # after the seed each chunk is the image of the one before it.  A pump
+    # applies f to only as much of the previous chunk as its request needs.
+    longest = max(map(len, f.images.values()))
+    head, chunk, built, at = image, image[len(seed):], [], 0
 
     def pump(need):
-        out = []
-        for chunk in pending:
-            out.append(chunk)
-            need -= len(chunk)
-            if need <= 0:
-                break
-        return "".join(out)
+        nonlocal head, chunk, built, at
+        if at >= len(chunk):
+            chunk, built, at = "".join(built), [], 0
+        start, at = at, at + max(1, need // longest)
+        built.append(apply(f, chunk[start:at]))
+        out, head = head + built[-1], ""
+        return out
 
     return WordStream(pump, "fixed-point")
 

@@ -61,7 +61,15 @@ def _reference_events(config):
 # coordinate 2: an exact irrational tie, where no enclosure can decide.
 TIE = BilliardConfig(d=(1, sqrt(2), parse_number("2*sqrt(2)")), rho=(0, 0, 0))
 
-# Every config used elsewhere in this file, the tie config, and a rational
+# The same ties from quadratic starts: at each tie the two enclosures have
+# different lower bounds, the one of coordinate 2 the smaller, so only an
+# exact comparison puts the fused block in coordinate order.
+TIE_SHIFTED = BilliardConfig(
+    d=(1, parse_number("sqrt(2)/4"), parse_number("sqrt(2)/2")),
+    rho=(0, parse_number("1-sqrt(2)/2"), parse_number("2-sqrt(2)")),
+)
+
+# Every config used elsewhere in this file, the tie configs, and a rational
 # direction, where every enclosure is exact.
 EQUIVALENCE_CONFIGS = [
     GOLDEN,
@@ -79,6 +87,7 @@ EQUIVALENCE_CONFIGS = [
     BilliardConfig(d=(0, 0, 1), rho=(0, 0, 0)),
     BilliardConfig(d=(0, sqrt(2), sqrt(8)), rho=(0, 0, 0)),
     TIE,
+    TIE_SHIFTED,
     BilliardConfig(d=(3, 5, 7), rho=(0, 0, 0)),
 ]
 
@@ -89,6 +98,80 @@ def test_fast_path_matches_reference_ordering(config):
     assert _events(config, 400) == expected
     word = "".join("".join(map(str, e.omega)) for e in expected)
     assert billiard_word(config).prefix(400) == word[:400]
+
+
+def _event_word(config, length):
+    """The word of event_stream, built one exactly ordered event at a time."""
+    events = itertools.islice(event_stream(config), length)
+    return "".join("".join(map(str, e.omega)) for e in events)[:length]
+
+
+def _stepped_prefix(config, length, step):
+    stream = billiard_word(config)
+    for at in range(step, length, step):
+        assert len(stream.prefix(at)) == at
+    return stream.prefix(length)
+
+
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS)
+def test_batched_word_matches_exact_events(config):
+    # Requests of 1, 64 and 4099 letters end inside batches and inside fused
+    # blocks, so later batches resume from every kind of cut.
+    expected = _event_word(config, 20_000)
+    for step in (1, 64, 4099):
+        assert _stepped_prefix(config, 20_000, step) == expected
+
+
+def _wide_start(exponent, radicand):
+    """frac(2**exponent * sqrt(radicand)): a start in [0, 1) whose integer
+    coefficients make its 64-bit enclosure a sizeable share of a step."""
+    x = 2**exponent * sqrt(radicand)
+    return x - x.floor()
+
+
+U21, U24 = ((rational(1) + sqrt(2)) ** power for power in (21, 24))
+WIDE_CONFIGS = [
+    # x_i = 1/d_i has integer coefficients far larger than its value, so its
+    # enclosure widens by one step every 4,400 crossings (U21) or every 22
+    # (U24); from then on every event takes the exact step.
+    BilliardConfig(d=(0, U21, U21 * sqrt(2)), rho=(0, 0, 0)),
+    BilliardConfig(d=(1, U21, U21 * sqrt(3)), rho=(0, parse_number("1/3"), sqrt(2) - 1)),
+    BilliardConfig(d=(0, U24, U24 * sqrt(2)), rho=(0, 0, 0)),
+    # Starts whose enclosures stay a quarter to a half step wide: clusters
+    # are common, and some reach the horizon of their batch.
+    BilliardConfig(d=(1, sqrt(2), sqrt(3)), rho=(_wide_start(62, 2), 0, 0)),
+    BilliardConfig(d=(2, 2, 2 * sqrt(2)), rho=(_wide_start(62, 3), 0, _wide_start(62, 3))),
+]
+
+
+@pytest.mark.parametrize("config", WIDE_CONFIGS)
+def test_wide_enclosures_match_exact_events(config):
+    for step in (1, 61):
+        assert _stepped_prefix(config, 2000, step) == _event_word(config, 2000)
+
+
+def test_batched_word_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    directions = st.sampled_from(
+        ["0", "sqrt(2)", "sqrt(3)", "2*sqrt(2)", "(sqrt(5)-1)/2"]
+    ) | st.builds("{}/{}".format, st.integers(1, 6), st.integers(1, 4))
+    starts = st.sampled_from(
+        ["sqrt(2)-1", "sqrt(3)-1", "(sqrt(5)-1)/2", "sqrt(2)/2", "sqrt(3)/3", "2-sqrt(3)",
+         "2-sqrt(2)", "1-sqrt(2)/2"]
+    ) | st.builds(lambda q, p: f"{p % q}/{q}", st.integers(1, 7), st.integers(0, 6))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(directions, min_size=3, max_size=3), st.lists(starts, min_size=3, max_size=3),
+           st.integers(1, 700))
+    def check(d, rho, step):
+        assume(any(x != "0" for x in d))
+        config = BilliardConfig(d=tuple(map(parse_number, d)), rho=tuple(map(parse_number, rho)))
+        assert _stepped_prefix(config, 1500, step) == _event_word(config, 1500)
+
+    check()
 
 
 @pytest.mark.parametrize(

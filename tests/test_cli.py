@@ -247,6 +247,25 @@ def test_st_decompose_deep_chain(fmt):
         assert proc.stdout.splitlines() == ["factors: " + ",".join(factors), "degree: 2000"]
 
 
+def test_fast_growing_fixed_point_stays_within_memory():
+    """Under a 600 MB address-space limit the 10^9-letter chunk that follows
+    a million ones is never built: only the requested letters are."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from sturmian_erasures.cli import main; main()",
+         "word", "fixed-point", "--spec", "0=01,1=" + "1" * 1000, "--length", "2000000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "0" + "1" * 1_999_999 + "\n"
+
+
 def test_mse_check(capsys):
     code, out, _ = _run(capsys, "mse", "check", "--spec", "0=02,1=10,2=")
     assert code == 0

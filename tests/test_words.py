@@ -109,6 +109,24 @@ def test_fixed_point_stream_applies_f_to_each_letter_once(monkeypatch):
     assert sum(passed) <= 2 * length
 
 
+def test_fixed_point_stream_builds_no_more_than_requested(monkeypatch):
+    # On 0=01,1=1^1000 the chunks grow a thousandfold: the chunk after a
+    # million ones would be 10^9 letters, far past a 2,000,000-letter request.
+    built = []
+
+    def counting_apply(f, w):
+        image = apply(f, w)
+        built.append(len(image))
+        return image
+
+    monkeypatch.setattr(words_module, "apply", counting_apply)
+    f = parse_morphism("0=01,1=" + "1" * 1000)
+    for length in (1, 999, 1003, 2_000_000):
+        built.clear()
+        assert fixed_point_stream(f, "0").prefix(length) == "0" + "1" * (length - 1)
+        assert sum(built) <= 2 * length + 1000
+
+
 def test_fixed_point_stream_matches_iterated_images():
     rng = random.Random(11)
     for _ in range(200):
