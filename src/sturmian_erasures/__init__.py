@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "billiard": ("BilliardConfig", "CrossingEvent", "billiard_word", "classify", "event_stream"),
     "exactnum": ("SqrtBasisNumber", "parse_number", "rational", "sqrt"),
-    "monoid": ("StCertificate", "StRejection", "decode_over_code", "recompose", "st_membership"),
+    "monoid": ("StCertificate", "StRejection", "recompose", "st_membership"),
     "morphisms": (
         "IncidenceMatrix", "LetterClassification", "Morphism", "apply", "classify_letters",
         "compose", "determinant", "format_morphism", "incidence", "is_unit", "parse_morphism",

@@ -10,11 +10,10 @@ involves a single coordinate this is a word over the three letters.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from operator import and_, sub
 
-from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _sign_of, rational
+from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _make, _sign_of, rational
 from .records import Record
 from .words import WordStream
 
@@ -193,9 +192,7 @@ def event_stream(config):
     """
     rows, den = _time_rows(config)
     for m, omega in iter(_Crossings(rows).step, None):
-        t = SqrtBasisNumber._from_squarefree(
-            {key: Fraction(m * x - y, den) for key, x, y in rows[omega[0]]}
-        )
+        t = _make({key: m * x - y for key, x, y in rows[omega[0]]}, den)
         yield CrossingEvent(t=t, omega=omega)
 
 

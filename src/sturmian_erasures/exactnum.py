@@ -83,46 +83,33 @@ def _floor_of(ints, den):
 
 
 def _common_scale(*xs):
-    """The coefficient dicts of den*x for each x, all integer, and den > 0."""
-    den = math.lcm(*(q.denominator for x in xs for q in x._coords.values()))
-    ints = [
-        {b: q.numerator * (den // q.denominator) for b, q in x._coords.items()}
-        for x in xs
-    ]
-    return ints, den
+    """The integer coefficient dicts of den*x for each x, and den > 0."""
+    den = math.lcm(*(x._den for x in xs))
+    return [{b: c * (den // x._den) for b, c in x._ints.items()} for x in xs], den
 
 
 class SqrtBasisNumber:
-    """Immutable exact value sum(q_b * sqrt(b)) over square-free keys b."""
+    """Immutable exact value sum(c_b * sqrt(b)) / den over square-free keys b,
+    stored as nonzero integers c_b over one den > 0, in lowest terms."""
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coords=None):
-        cleaned = {}
+        qs = {}
         for b, q in (coords or {}).items():
-            q = q if isinstance(q, Fraction) else Fraction(q)
-            if q == 0:
-                continue
-            m, d = _squarefree_split(b)
-            q = q * m
-            tot = cleaned.get(d, 0) + q
-            if tot == 0:
-                cleaned.pop(d, None)
-            else:
-                cleaned[d] = tot
-        self._coords = cleaned
-
-    @classmethod
-    def _from_squarefree(cls, coords):
-        """Build from {square-free key: Fraction} without re-splitting keys;
-        zero coefficients are dropped."""
-        self = object.__new__(cls)
-        self._coords = {b: q for b, q in coords.items() if q}
-        return self
+            q = Fraction(q)
+            if q:
+                m, d = _squarefree_split(b)
+                qs[d] = qs.get(d, 0) + q * m
+                if not qs[d]:  # a key that comes back after cancelling goes last
+                    del qs[d]
+        den = math.lcm(*(q.denominator for q in qs.values()))
+        x = _make({b: q.numerator * (den // q.denominator) for b, q in qs.items()}, den)
+        self._ints, self._den = x._ints, x._den
 
     @property
     def coords(self):
-        return dict(self._coords)
+        return {b: Fraction(c, self._den) for b, c in self._ints.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -131,7 +118,7 @@ class SqrtBasisNumber:
         if isinstance(x, SqrtBasisNumber):
             return x
         if isinstance(x, (int, Fraction)):
-            return SqrtBasisNumber._from_squarefree({1: Fraction(x)})
+            return rational(x)
         return NotImplemented
 
     # -- ring operations ------------------------------------------------------
@@ -140,17 +127,15 @@ class SqrtBasisNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._coords)
-        for b, q in other._coords.items():
-            out[b] = out.get(b, 0) + q
-        return SqrtBasisNumber._from_squarefree(out)
+        (out, add), den = _common_scale(self, other)
+        for b, c in add.items():
+            out[b] = out.get(b, 0) + c
+        return _make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtBasisNumber._from_squarefree(
-            {b: -q for b, q in self._coords.items()}
-        )
+        return _make({b: -c for b, c in self._ints.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -166,23 +151,24 @@ class SqrtBasisNumber:
         if other is NotImplemented:
             return NotImplemented
         out = {}
-        for a, p in self._coords.items():
-            for b, q in other._coords.items():
+        for a, p in self._ints.items():
+            for b, q in other._ints.items():
                 # sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)) with g = gcd(a, b); the
                 # two cofactors are coprime and square-free, so the key is too
                 g = math.gcd(a, b)
                 key = (a // g) * (b // g)
                 out[key] = out.get(key, 0) + p * q * g
-        return SqrtBasisNumber._from_squarefree(out)
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def _inverse(self):
-        if not self._coords:
+        if not self._ints:
             raise ZeroDivisionError("division by zero")
-        keys = [b for b in self._coords if b != 1]
+        keys = [b for b in self._ints if b != 1]
         if not keys:
-            return SqrtBasisNumber._from_squarefree({1: 1 / self._coords[1]})
+            c = self._ints[1]
+            return _make({1: self._den if c > 0 else -self._den}, abs(c))
         # Find g > 1 that divides each key or is coprime to it, by gcd
         # refinement.  For any prime p | g the automorphism sigma_p negates
         # exactly the keys divisible by g, and with x = A + B where B collects
@@ -196,9 +182,7 @@ class SqrtBasisNumber:
                 h = math.gcd(g, b)
                 if h not in (1, g):
                     g, split = h, True
-        conj = SqrtBasisNumber._from_squarefree(
-            {b: (-q if b % g == 0 else q) for b, q in self._coords.items()}
-        )
+        conj = _make({b: (-c if b % g == 0 else c) for b, c in self._ints.items()}, self._den)
         return conj * (self * conj)._inverse()
 
     def __truediv__(self, other):
@@ -213,7 +197,7 @@ class SqrtBasisNumber:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = SqrtBasisNumber({1: 1})
+        out = _make({1: 1}, 1)
         for _ in range(n):
             out = out * self
         return out
@@ -221,32 +205,30 @@ class SqrtBasisNumber:
     # -- exact comparisons ----------------------------------------------------
 
     def is_zero(self):
-        return not self._coords
+        return not self._ints
 
     def is_rational(self):
-        return set(self._coords) <= {1}
+        return self._ints.keys() <= {1}
 
     def sign(self):
         """Exact sign in {-1, 0, +1} by integer interval refinement."""
-        (ints,), _ = _common_scale(self)
-        return _sign_of(ints)
+        return _sign_of(self._ints)
 
     def floor(self):
         """The unique integer m with m <= x < m + 1."""
-        (ints,), den = _common_scale(self)
-        return _floor_of(ints, den)
+        return _floor_of(self._ints, self._den)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._coords == other._coords
+        return self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
         # Equal to an int or Fraction exactly when rational, so hash as one.
         if self.is_rational():
-            return hash(self._coords.get(1, 0))
-        return hash(tuple(sorted(self._coords.items())))
+            return hash(Fraction(self._ints.get(1, 0), self._den))
+        return hash((self._den, *sorted(self._ints.items())))
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -261,35 +243,46 @@ class SqrtBasisNumber:
         return (self - other).sign() >= 0
 
     def __bool__(self):
-        return bool(self._coords)
+        return bool(self._ints)
 
     # -- presentation ---------------------------------------------------------
 
     def __float__(self):
-        return float(
-            sum(float(q) * math.sqrt(b) for b, q in self._coords.items())
-        )
+        return float(sum(c / self._den * math.sqrt(b) for b, c in self._ints.items()))
 
     def __str__(self):
-        if not self._coords:
+        if not self._ints:
             return "0"
         parts = []
-        for b in sorted(self._coords):
-            q = self._coords[b]
-            term = str(abs(q)) if b == 1 else f"{abs(q)}*sqrt({b})"
+        for b in sorted(self._ints):
+            c = self._ints[b]
+            g = math.gcd(c, self._den)
+            q = f"{abs(c) // g}" if g == self._den else f"{abs(c) // g}/{self._den // g}"
+            term = q if b == 1 else f"{q}*sqrt({b})"
             if not parts:
-                parts.append(term if q > 0 else f"-{term}")
+                parts.append(term if c > 0 else f"-{term}")
             else:
-                parts.append(f"{'+' if q > 0 else '-'} {term}")
+                parts.append(f"{'+' if c > 0 else '-'} {term}")
         return " ".join(parts)
 
     def __repr__(self):
-        return f"SqrtBasisNumber({self._coords!r})"
+        return f"SqrtBasisNumber({self.coords!r})"
+
+
+def _make(ints, den):
+    """The value sum(c * sqrt(b)) / den for integers c of square-free keys b
+    and den > 0, with zero coefficients dropped and in lowest terms."""
+    x = object.__new__(SqrtBasisNumber)
+    g = math.gcd(den, *ints.values())
+    x._ints = {b: c // g for b, c in ints.items() if c}
+    x._den = den // g
+    return x
 
 
 def rational(q):
-    """Embed an integer or Fraction."""
-    return SqrtBasisNumber._from_squarefree({1: Fraction(q)})
+    """Embed an integer, a Fraction, or anything Fraction() accepts."""
+    q = Fraction(q)
+    return _make({1: q.numerator}, q.denominator)
 
 
 def sqrt(k):
@@ -351,10 +344,9 @@ def _eval_node(node):
         arg = _eval_node(node.args[0])
         if not arg.is_rational():
             raise ValueError("sqrt argument must be a positive integer")
-        q = arg.coords.get(1, Fraction(0))
-        if q.denominator != 1 or q <= 0:
-            raise ValueError(f"sqrt argument must be a positive integer, got {q}")
-        if q > _SQRT_ARG_MAX:
-            raise ValueError(f"sqrt argument {q} exceeds the limit {_SQRT_ARG_MAX}")
-        return sqrt(q.numerator)
+        if arg._den != 1 or arg.sign() <= 0:
+            raise ValueError(f"sqrt argument must be a positive integer, got {arg}")
+        if arg._ints[1] > _SQRT_ARG_MAX:
+            raise ValueError(f"sqrt argument {arg} exceeds the limit {_SQRT_ARG_MAX}")
+        return sqrt(arg._ints[1])
     raise ValueError(f"unsupported expression element: {ast.dump(node)}")

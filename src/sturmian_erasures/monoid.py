@@ -18,7 +18,6 @@ from .records import Record
 __all__ = [
     "StCertificate",
     "StRejection",
-    "decode_over_code",
     "st_membership",
     "recompose",
 ]
@@ -64,13 +63,6 @@ def _decode_phit(w):
 
 
 _DECODERS = {"phi": _decode_phi, "phit": _decode_phit}
-
-
-def decode_over_code(w, code):
-    """Decode w over the image code of phi or phit; None when undecodable."""
-    if code not in _DECODERS:
-        raise ValueError(f"code must be 'phi' or 'phit', got {code!r}")
-    return _DECODERS[code](w)
 
 
 _FLIP = str.maketrans("01", "10")

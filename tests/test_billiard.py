@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +250,21 @@ def test_event_times_strictly_increase():
         for a, b in zip(events, events[1:]):
             assert (b.t - a.t).sign() > 0
         assert all(e.t.sign() >= 0 for e in events)
+
+
+def test_event_times_match_fraction_reference():
+    # With d = (1, sqrt(2), sqrt(3)), coordinate i crosses x = m at
+    # t = (m - rho_i)/d_i = ((m - rho_i)/(i + 1)) * sqrt(i + 1).
+    rho = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+    config = BilliardConfig(d=(rational(1), sqrt(2), sqrt(3)), rho=tuple(map(rational, rho)))
+    m, last = [1, 1, 1], 0.0
+    for event in _events(config, 2000):
+        (i,) = event.omega
+        q = (m[i] - rho[i]) / (i + 1)
+        assert str(event.t) == (str(q) if i == 0 else f"{q}*sqrt({i + 1})")
+        assert float(event.t) >= last
+        m[i], last = m[i] + 1, float(event.t)
+    assert sum(m) == 3 + 2000
 
 
 def test_event_integrality_invariant():

@@ -68,6 +68,12 @@ def test_word_erase(capsys):
     assert out.strip() == "0100010"
 
 
+def test_word_erase_rejects_letters_outside_alphabet(capsys):
+    for argv in (("word", "erase", "--letter", "1", "0a1"), ("analyze", "complexity", "0a1")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: letter 'a' outside alphabet 012\n")
+
+
 def test_word_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("02 1002\n0210\n"))
     code, out, _ = _run(capsys, "word", "erase", "--letter", "2")

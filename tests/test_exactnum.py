@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -69,12 +70,12 @@ def test_floor_brackets_value():
         assert x < rational(n + 1)
 
 
+def _random_coords(rng, bases):
+    return {b: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for b in bases if rng.random() < 0.7}
+
+
 def _random_number(rng, bases):
-    coords = {}
-    for b in bases:
-        if rng.random() < 0.7:
-            coords[b] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return SqrtBasisNumber(coords)
+    return SqrtBasisNumber(_random_coords(rng, bases))
 
 
 @pytest.mark.parametrize("bases", [(1, 2, 3, 6), (1, 5)])
@@ -206,3 +207,64 @@ def test_division_by_zero_raises():
         rational(1) / rational(0)
     with pytest.raises(ZeroDivisionError):
         (sqrt(2) + sqrt(3)) / rational(0)
+
+
+# A reference on {square-free key: Fraction} dicts, independent of the
+# integer form: sums and products with zero coefficients dropped, and the
+# printed form of each Fraction coefficient.
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for b, c in q.items():
+        out[b] = out.get(b, 0) + c
+    return {b: c for b, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            g = math.gcd(a, b)
+            out[(a // g) * (b // g)] = out.get((a // g) * (b // g), 0) + c * d * g
+    return {b: c for b, c in out.items() if c}
+
+
+def _ref_str(p):
+    parts = []
+    for b in sorted(p):
+        term = str(abs(p[b])) if b == 1 else f"{abs(p[b])}*sqrt({b})"
+        sign = ("" if p[b] > 0 else "-") if not parts else ("+ " if p[b] > 0 else "- ")
+        parts.append(sign + term)
+    return " ".join(parts) or "0"
+
+
+@pytest.mark.parametrize("bases", [(1, 2, 3, 6), (1, 5), (2, 3, 5, 6, 10, 15, 30)])
+def test_arithmetic_matches_fraction_dict_reference(bases):
+    rng = random.Random(len(bases))
+    for _ in range(300):
+        p, q = _random_coords(rng, bases), _random_coords(rng, bases)
+        x, y = SqrtBasisNumber(p), SqrtBasisNumber(q)
+        p, q = _ref_add(p, {}), _ref_add(q, {})  # zero coefficients dropped
+        assert repr(x) == f"SqrtBasisNumber({p!r})" and y.coords == q
+        minus_q = {b: -c for b, c in q.items()}
+        for value, ref in ((x + y, _ref_add(p, q)), (x - y, _ref_add(p, minus_q)),
+                           (x * y, _ref_mul(p, q)), (-x, {b: -c for b, c in p.items()})):
+            assert repr(value) == f"SqrtBasisNumber({ref!r})"
+            assert str(value) == _ref_str(ref)
+        if q:
+            assert _ref_mul((x / y).coords, q) == p
+
+
+def test_equal_values_share_one_form():
+    rng = random.Random(29)
+    for _ in range(300):
+        x, y = _random_number(rng, (1, 2, 3, 6)), _random_number(rng, (1, 2, 3, 6))
+        pairs = [(x * y, y * x), ((x + y) - y, x), (x * 6 / 6, x), (x + y, y + x),
+                 ((x + y) * (x - y), x * x - y * y), (SqrtBasisNumber(x.coords), x)]
+        if y:
+            pairs.append(((x / y) * y, x))
+        for a, b in pairs:
+            assert a == b and (a._den, a._ints, hash(a)) == (b._den, b._ints, hash(b))
+            assert a._den > 0 and 0 not in a._ints.values()
+            assert math.gcd(a._den, *a._ints.values()) == 1

@@ -11,28 +11,25 @@ from sturmian_erasures import (
     balance_order,
     complexity,
     compose,
-    decode_over_code,
     determinant,
     incidence,
     recompose,
     st_membership,
     sturmian_verdict,
 )
-from sturmian_erasures.monoid import GENERATORS
+from sturmian_erasures.monoid import _DECODERS, GENERATORS
 from sturmian_erasures.morphisms import E, ID2, PHI, PHIT
 
 from conftest import fib_prefix, perturbed_st_corpus, random_st_member
 
 
 def test_decode_examples():
-    assert decode_over_code("010", "phi") == "01"
-    assert decode_over_code("01", "phit") is None
-    assert decode_over_code("", "phi") == ""
-    assert decode_over_code("", "phit") == ""
-    assert decode_over_code("100", "phit") == "01"
-    assert decode_over_code("1", "phi") is None
-    with pytest.raises(ValueError):
-        decode_over_code("01", "E")
+    assert _DECODERS["phi"]("010") == "01"
+    assert _DECODERS["phit"]("01") is None
+    assert _DECODERS["phi"]("") == ""
+    assert _DECODERS["phit"]("") == ""
+    assert _DECODERS["phit"]("100") == "01"
+    assert _DECODERS["phi"]("1") is None
 
 
 def test_decode_round_trip():
@@ -40,7 +37,7 @@ def test_decode_round_trip():
     for code, f in (("phi", PHI), ("phit", PHIT)):
         for _ in range(200):
             w = "".join(rng.choice("01") for _ in range(rng.randrange(30)))
-            assert decode_over_code(apply(f, w), code) == w
+            assert _DECODERS[code](apply(f, w)) == w
 
 
 def test_membership_examples():
@@ -224,7 +221,7 @@ def _binary_words(max_len):
 def test_decoders_match_char_by_char_reference():
     for w in _binary_words(12):
         for code, ref in _REF_DECODERS.items():
-            assert decode_over_code(w, code) == ref(w), (w, code)
+            assert _DECODERS[code](w) == ref(w), (w, code)
 
 
 def test_deterministic_peel_matches_backtracking_search():

@@ -18,7 +18,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_every_export_resolves_to_its_module():
-    assert len(pkg.__all__) == 51
+    assert len(pkg.__all__) == 50
     for name in pkg.__all__:
         value = getattr(pkg, name)
         module = sys.modules[value.__module__]

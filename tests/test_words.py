@@ -44,8 +44,12 @@ def test_erase_properties():
             out = erase(w, a)
             assert erase(out, a) == out
             assert len(out) == len(w) - w.count(a)
-    with pytest.raises(ValueError):
-        erase("0101", "3")
+    for letter in ("3", "", "01"):
+        with pytest.raises(ValueError, match=f"^letter {letter!r} outside alphabet 012$"):
+            erase("0101", letter)
+    for w, bad in (("0a1", "'a'"), ("a", "'a'"), ("01 2", "' '"), ("0123", "'3'")):
+        with pytest.raises(ValueError, match=f"^letter {bad} outside alphabet 012$"):
+            erase(w, "1")
 
 
 def test_fibonacci_numbers():
@@ -125,6 +129,31 @@ def test_fixed_point_stream_builds_no_more_than_requested(monkeypatch):
         built.clear()
         assert fixed_point_stream(f, "0").prefix(length) == "0" + "1" * (length - 1)
         assert sum(built) <= 2 * length + 1000
+
+
+def test_apply_stream_builds_no_more_than_requested(monkeypatch):
+    # Images of 1000 letters: pulling a whole request's worth of input
+    # letters would build a thousand times the request.
+    f = parse_morphism("0=" + "0" * 1000 + ",1=" + "1" * 1000)
+    built = []
+
+    def counting_apply(g, w):
+        image = apply(g, w)
+        if g is f:  # not the Fibonacci source's own images
+            built.append(len(image))
+        return image
+
+    monkeypatch.setattr(words_module, "apply", counting_apply)
+    reference = "".join(a * 1000 for a in fib_prefix(300))
+    for length in (1, 999, 10_000, 200_000):
+        built.clear()
+        assert apply_stream(f, fibonacci_stream()).prefix(length) == reference[:length]
+        assert sum(built) < length + 1000
+    built.clear()
+    stream = apply_stream(f, fibonacci_stream())
+    for length in range(64, 20_000, 64):
+        assert stream.prefix(length) == reference[:length]
+    assert sum(built) < 20_000 + 1000
 
 
 def test_fixed_point_stream_matches_iterated_images():
