@@ -15,9 +15,11 @@ package's lazy exports, so a command loads only the modules it runs.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from collections.abc import Iterator
-from functools import lru_cache
+from contextlib import nullcontext
+from functools import lru_cache, partial
 from itertools import chain, islice
 
 import sturmian_erasures as lib
@@ -55,15 +57,24 @@ def _emit(fmt, code, payload, lines, rows):
     return code
 
 
-def _read_word(args):
+def _read_word(args, keep=sys.maxsize):
+    """The input word without whitespace, read in blocks; past `keep` letters only counted."""
     if args.word is not None:
-        text = args.word
+        source = io.StringIO(args.word)
     elif args.file is not None:
-        with open(args.file, encoding="ascii") as fh:
-            text = fh.read()
+        source = open(args.file, encoding="ascii")
     else:
-        text = sys.stdin.read()
-    return "".join(text.split())
+        source = nullcontext(sys.stdin)  # left open: run() may be called again
+    kept, count = [], 0
+    with source as fh:
+        for block in iter(partial(fh.read, 1 << 16), ""):
+            letters = "".join(block.split())
+            count += len(letters)
+            if count <= keep:
+                kept.append(letters)
+    if count > keep:
+        raise ValueError(f"input has {count} letters, more than --length {keep}")
+    return "".join(kept)
 
 
 def _capped(what, value, ceiling=MAX_LENGTH):
@@ -103,9 +114,7 @@ def _cmd_word_erase(args):
 
 
 def _analysis_input(args):
-    word = _read_word(args)
-    if len(word) > args.length:
-        raise ValueError(f"input has {len(word)} letters, more than --length {args.length}")
+    word = _read_word(args, args.length)
     if not word:
         raise ValueError("empty input word")
     return word, min(args.max_n, len(word))
@@ -257,6 +266,8 @@ def _billiard_config(args):
 def _cmd_billiard_code(args):
     length = _capped("--length", args.length)
     config = _billiard_config(args)
+    if length < 0:
+        raise ValueError("length must be >= 0")
     # All three views are lazy: only the one printed is ever generated, and
     # the event log is written event by event, so memory stays flat in --length.
     word = lib.billiard_word(config)

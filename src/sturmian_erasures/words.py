@@ -78,8 +78,8 @@ def fibonacci_numbers(count):
 class WordStream:
     """Lazily extensible prefix of an infinite word.
 
-    pump(need) must return at least one more letter (as a string) or raise
-    BoundedOutputError; need is the number of letters still missing.
+    pump(need) returns more letters as a string, need being the number still
+    missing; it ends a finite word only by returning "".
     """
 
     __slots__ = ("source", "_pump", "_buf")
@@ -89,32 +89,35 @@ class WordStream:
         self._pump = pump
         self._buf = ""
 
-    def prefix(self, length):
-        if length < 0:
-            raise ValueError("length must be >= 0")
+    def _read(self, start, stop):
+        """Letters start..stop-1, fewer when the word ends before stop."""
         # One join per call keeps a prefix pumped in many chunks linear.
         chunks, have = [self._buf], len(self._buf)
         try:
-            while have < length:
-                chunks.append(self._pump(length - have))
+            while have < stop:
+                chunks.append(self._pump(stop - have))
                 if not chunks[-1]:
-                    raise BoundedOutputError(
-                        f"{self.source} stream ended at {have} letters, {length} requested"
-                    )
+                    break
                 have += len(chunks[-1])
         finally:
             self._buf = "".join(chunks)
-        return self._buf[:length]
+        return self._buf[start:stop]
+
+    def prefix(self, length):
+        if length < 0:
+            raise ValueError("length must be >= 0")
+        word = self._read(0, length)
+        if len(word) < length:
+            raise BoundedOutputError(
+                f"{self.source} stream ended at {len(word)} letters, {length} requested"
+            )
+        return word
 
 
 def literal_stream(w):
     """A stream over a fixed finite word (errors past its end)."""
     chunks = iter((w,))
-
-    def pump(_need):
-        return next(chunks, "")
-
-    return WordStream(pump)
+    return WordStream(lambda _need: next(chunks, ""))
 
 
 def fixed_point_stream(f, seed):
@@ -186,12 +189,12 @@ def mechanical_stream(alpha, rho):
     lo_r, hi_r = _enclose(r, 64)
     unit = den << 64
     keys = a.keys() | r.keys()
-    state = {"n": 0, "floor": 0}
+    n = fl = 0
 
     def pump(need):
         # 0 < alpha < 1, so each step raises the floor by 0 or 1.
+        nonlocal n, fl
         out = []
-        n, fl = state["n"], state["floor"]
         for _ in range(max(need, 64)):
             n += 1
             f = (n * lo_a + lo_r) // unit
@@ -199,7 +202,6 @@ def mechanical_stream(alpha, rho):
                 f = _floor_of({b: n * a.get(b, 0) + r.get(b, 0) for b in keys}, den)
             out.append("1" if f > fl else "0")
             fl = f
-        state["n"], state["floor"] = n, fl
         return "".join(out)
 
     return WordStream(pump, "mechanical")
@@ -211,40 +213,27 @@ _PULL_FACTOR = 64
 def apply_stream(f, s):
     """Lazy image of a stream under a morphism.
 
-    Each step applies f to about (letters missing) // (longest image) input
-    letters, so a request is overshot by less than one image.  Raises
-    BoundedOutputError when _PULL_FACTOR * L input letters yield fewer than
-    L output letters.
+    Each pump applies f to about (letters missing) // (longest image) input
+    letters, so a request is overshot by less than one image, and ends the
+    image when the source ends.  Raises BoundedOutputError when
+    _PULL_FACTOR * L input letters yield fewer than L output letters.
     """
     longest = max([1, *map(len, f.images.values())])
-    state = {"consumed": 0, "produced": 0, "step_cap": None}
+    consumed = produced = 0
 
     def pump(need):
-        target = state["produced"] + need
-        out = []
-        got = 0
-        while got < need:
-            if state["consumed"] >= _PULL_FACTOR * target:
-                raise BoundedOutputError(
-                    f"morphic image produced {state['produced'] + got} letters "
-                    f"from {state['consumed']} inputs (factor {_PULL_FACTOR})"
-                )
-            step = state["step_cap"] or max(1, (need - got) // longest)
-            start = state["consumed"]
-            try:
-                chunk = s.prefix(start + step)[start:]
-            except BoundedOutputError:
-                if step == 1:
-                    raise
-                # Finite source: finish it one letter at a time.
-                state["step_cap"] = 1
-                continue
-            state["consumed"] += len(chunk)
-            piece = apply(f, chunk)
-            out.append(piece)
-            got += len(piece)
-        state["produced"] += got
-        return "".join(out)
+        nonlocal consumed, produced
+        while consumed < _PULL_FACTOR * (produced + need):
+            chunk = s._read(consumed, consumed + max(1, need // longest))
+            consumed += len(chunk)
+            image = apply(f, chunk)
+            if image or not chunk:  # an empty chunk: the source has ended
+                produced += len(image)
+                return image
+        raise BoundedOutputError(
+            f"morphic image produced {produced} letters "
+            f"from {consumed} inputs (factor {_PULL_FACTOR})"
+        )
 
     return WordStream(pump, "morphic-image")
 

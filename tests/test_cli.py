@@ -272,6 +272,25 @@ def test_fast_growing_fixed_point_stays_within_memory():
     assert proc.stdout == "0" + "1" * 1_999_999 + "\n"
 
 
+def test_analyze_counts_a_long_input_without_holding_it():
+    """Under a 100 MB address-space limit a 10^7-letter stdin is refused with
+    its letter count: only the first --length letters are kept."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from sturmian_erasures.cli import main; main()",
+         "analyze", "complexity"],
+        input="0\n" * 10**7, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: input has 10000000 letters, more than --length 10000\n"
+
+
 def test_mse_check(capsys):
     code, out, _ = _run(capsys, "mse", "check", "--spec", "0=02,1=10,2=")
     assert code == 0
@@ -468,6 +487,25 @@ def test_length_above_ceiling_exits_two(capsys, argv):
     code, out, err = _run(capsys, *argv, "--length", "10000000000")
     assert code == 2 and out == ""
     assert err == "error: --length 10000000000 exceeds the ceiling 10000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["word", "fib"],
+        *(["billiard", "code", "--d", "1,1,0", "--rho", "0,0,0", "--format", fmt]
+          for fmt in ("text", "json", "csv")),
+    ],
+    ids=["word-fib", "billiard-text", "billiard-json", "billiard-csv"],
+)
+def test_negative_length_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--length", "-1")
+    assert (code, out, err) == (2, "", "error: length must be >= 0\n")
+
+
+def test_negative_psi_index_keeps_its_message(capsys):
+    code, out, err = _run(capsys, "mse", "psi", "--n", "-2")
+    assert (code, out, err) == (2, "", "error: psi is defined for n >= 1\n")
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

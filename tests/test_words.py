@@ -254,6 +254,32 @@ def test_apply_stream():
         apply_stream(parse_morphism("0=,1="), fibonacci_stream()).prefix(1)
 
 
+def test_apply_stream_keeps_the_image_of_a_finite_source():
+    s = apply_stream(parse_morphism("0=0,1=1"), literal_stream("010"))
+    with pytest.raises(BoundedOutputError, match="morphic-image stream ended at 3 letters"):
+        s.prefix(4)
+    assert s.prefix(3) == "010"
+    s = apply_stream(parse_morphism("0=00,1=11"), literal_stream("0101"))
+    assert s.prefix(8) == "00110011"
+    with pytest.raises(BoundedOutputError, match="morphic-image stream ended at 8 letters"):
+        s.prefix(9)
+    assert s.prefix(8) == "00110011"
+
+
+def test_apply_stream_keeps_letters_pumped_before_the_pull_bound():
+    s = apply_stream(parse_morphism("0=,1=1,2=2"), literal_stream("1" + "0" * 200 + "2" * 40))
+    with pytest.raises(BoundedOutputError, match="factor 64"):
+        s.prefix(2)
+    assert s.prefix(20) == "1" + "2" * 19
+
+
+def test_apply_stream_reads_past_an_erased_chunk():
+    f = parse_morphism("0=,1=1")
+    reference = apply(f, fib_prefix(1000))[:300]
+    s = apply_stream(f, fibonacci_stream())
+    assert "".join(s.prefix(n)[-1] for n in range(1, 301)) == reference
+
+
 def test_complexity_examples():
     p = complexity("0000", 2)
     assert p.counts == {1: 1, 2: 1}
