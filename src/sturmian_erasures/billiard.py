@@ -10,7 +10,7 @@ involves a single coordinate this is a word over the three letters.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import and_, sub
 
 from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _make, _sign_of, rational
@@ -124,8 +124,7 @@ class _Crossings:
         self.hi[pos] += count * self.steps[pos][1]
 
     def step(self):
-        """The next event as (m, omega), omega[0] crossing x = m; equal times
-        fuse, their coordinates in ascending order."""
+        """The next event's block: its coordinates, exactly ordered, ascending."""
         best = [0]
         for pos in range(1, len(self.moving)):
             cmp = self.compare(pos, 0, best[0], 0)
@@ -135,7 +134,7 @@ class _Crossings:
                 best.append(pos)
         for pos in best:
             self.advance(pos, 1)
-        return self.counters[best[0]] - 1, tuple(map(self.moving.__getitem__, best))
+        return "".join(str(self.moving[pos]) for pos in best)
 
     def letters(self, need):
         """The letters of the next events: about max(need, 256) of them, at
@@ -176,7 +175,7 @@ class _Crossings:
                     merged[at], merged[at + 1] = merged[at + 1], merged[at]
                     at -= 1
         if not end:
-            return "".join(map(str, self.step()[1]))
+            return self.step()
         word = bytes(map(and_, merged[:end], repeat(63))).decode()
         for pos, i in enumerate(self.moving):
             self.advance(pos, word.count(str(i)))
@@ -189,11 +188,23 @@ def event_stream(config):
     Coordinate i first crosses a hyperplane at the least integer m with
     m - rho_i >= 0 and then at every following integer; coordinates with
     d_i = 0 never cross.  Simultaneous crossings fuse into one event.
+
+    The events group billiard_word's letters by crossing time.  Letter i at
+    x = m has the time row {key: m*X - Y} over one key list and one den, and
+    square roots of distinct square-free keys are independent over Q, so two
+    times are equal exactly when their rows are.
     """
     rows, den = _time_rows(config)
-    for m, omega in iter(_Crossings(rows).step, None):
-        t = _make({key: m * x - y for key, x, y in rows[omega[0]]}, den)
-        yield CrossingEvent(t=t, omega=omega)
+    crossings = _Crossings(rows)
+    ms = {str(i): count(m) for i, m in zip(crossings.moving, crossings.counters)}
+
+    def time_row(letter):
+        m = next(ms[letter])
+        return {key: m * x - y for key, x, y in rows[int(letter)]}
+
+    letters = chain.from_iterable(map(crossings.letters, repeat(256)))
+    for row, block in groupby(letters, time_row):
+        yield CrossingEvent(t=_make(row, den), omega=tuple(map(int, block)))
 
 
 def billiard_word(config):

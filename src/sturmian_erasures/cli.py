@@ -58,17 +58,25 @@ def _emit(fmt, code, payload, lines, rows):
 
 
 def _read_word(args, keep=sys.maxsize):
-    """The input word without whitespace, read in blocks; past `keep` letters only counted."""
+    """The input word without whitespace, read in blocks; past `keep` letters only counted.
+    A file is read as bytes and decoded block by block, so that a non-ASCII
+    byte is reported at its offset in the file."""
     if args.word is not None:
         source = io.StringIO(args.word)
     elif args.file is not None:
-        source = open(args.file, encoding="ascii")
+        source = open(args.file, "rb")
     else:
         source = nullcontext(sys.stdin)  # left open: run() may be called again
-    kept, count = [], 0
+    kept, count, offset = [], 0, 0
     with source as fh:
-        for block in iter(partial(fh.read, 1 << 16), ""):
-            letters = "".join(block.split())
+        for block in iter(partial(fh.read, 1 << 16), fh.read(0)):
+            try:
+                text = block if isinstance(block, str) else block.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"'ascii' codec can't decode byte {block[exc.start]:#04x} "
+                                 f"in position {offset + exc.start}: {exc.reason}") from None
+            offset += len(block)
+            letters = "".join(text.split())
             count += len(letters)
             if count <= keep:
                 kept.append(letters)
@@ -394,3 +402,7 @@ def run(argv=None):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -21,6 +21,8 @@ from sturmian_erasures import (
     sturmian_verdict,
     wse_verdict,
 )
+from sturmian_erasures.billiard import _Crossings, _time_rows
+from sturmian_erasures.exactnum import _make
 
 THETA = parse_number("(1+sqrt(5))/2")
 GOLDEN = BilliardConfig(
@@ -101,9 +103,21 @@ def test_fast_path_matches_reference_ordering(config):
     assert billiard_word(config).prefix(400) == word[:400]
 
 
+def _step_events(config, count):
+    """The events of the exact per-event path, _Crossings.step, apart from
+    the batched merge; each is timed at its first coordinate's crossing."""
+    rows, den = _time_rows(config)
+    crossings = _Crossings(rows)
+    for block in itertools.islice(iter(crossings.step, None), count):
+        i = int(block[0])
+        m = crossings.counters[crossings.moving.index(i)] - 1
+        t = _make({key: m * x - y for key, x, y in rows[i]}, den)
+        yield CrossingEvent(t=t, omega=tuple(map(int, block)))
+
+
 def _event_word(config, length):
-    """The word of event_stream, built one exactly ordered event at a time."""
-    events = itertools.islice(event_stream(config), length)
+    """The word of _step_events, built one exactly ordered event at a time."""
+    events = _step_events(config, length)
     return "".join("".join(map(str, e.omega)) for e in events)[:length]
 
 
@@ -149,6 +163,13 @@ WIDE_CONFIGS = [
 def test_wide_enclosures_match_exact_events(config):
     for step in (1, 61):
         assert _stepped_prefix(config, 2000, step) == _event_word(config, 2000)
+
+
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS + WIDE_CONFIGS)
+def test_event_stream_matches_step_events(config):
+    # Both the times and the fused blocks of the grouped batch agree with
+    # the exact per-event path.
+    assert _events(config, 2000) == list(_step_events(config, 2000))
 
 
 def test_batched_word_property():

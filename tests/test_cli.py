@@ -399,6 +399,21 @@ def test_billiard_code_json_and_csv(capsys):
     assert out.splitlines() == ["t,omega", "0,01", "1,01", "2,01"]
 
 
+def test_billiard_event_logs_spell_the_word(capsys):
+    # Every crossing of coordinate 1 ties with every second one of
+    # coordinate 2, so the logs hold many fused events.
+    args = ["billiard", "code", "--d", "1,sqrt(2),2*sqrt(2)", "--rho", "0,0,0",
+            "--length", "5000"]
+    _, word, _ = _run(capsys, *args)
+    word = word.strip()
+    _, out, _ = _run(capsys, *args, "--format", "json")
+    from_json = "".join("".join(map(str, e["omega"])) for e in json.loads(out))
+    _, out, _ = _run(capsys, *args, "--format", "csv")
+    from_csv = "".join(line.split(",")[1] for line in out.splitlines()[1:])
+    assert len(word) == 5000 and from_json == from_csv
+    assert from_json[:5000] == word and "12" in from_json
+
+
 def test_billiard_classify(capsys):
     code, out, _ = _run(capsys, "billiard", "classify", "--d", "1,sqrt(2),sqrt(3)")
     assert code == 0
@@ -506,6 +521,27 @@ def test_negative_length_exits_two(capsys, argv):
 def test_negative_psi_index_keeps_its_message(capsys):
     code, out, err = _run(capsys, "mse", "psi", "--n", "-2")
     assert (code, out, err) == (2, "", "error: psi is defined for n >= 1\n")
+
+
+def test_non_ascii_file_names_its_file_offset(capsys, tmp_path):
+    # 70,000 letters put the bad byte in the second 64 KiB read block.
+    path = tmp_path / "word.txt"
+    path.write_bytes(b"0" * 70_000 + "é".encode())
+    code, out, err = _run(capsys, "analyze", "complexity", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 'ascii' codec can't decode byte 0xc3 in position 70000: "
+        "ordinal not in range(128)\n"
+    )
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sturmian_erasures.cli", "analyze", "sturmian", "00110"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "Refuted: P(2)=4 > 3\n", "")
 
 
 def test_missing_file_exits_two(capsys, tmp_path):
