@@ -41,7 +41,7 @@ for d in ((1, 1, 0), (0, 1, theta), (1, sqrt(2), sqrt(3)), (1, 1, sqrt(2))):
     config = BilliardConfig(d=d, rho=(0, 0, 0))
     print(f"d = {tuple(str(x) for x in config.d)}: {classify(config)}")
 
-w = billiard_word(BilliardConfig(d=(1, sqrt(2), sqrt(3)), rho=(0, 0, 0))).prefix(10_000)
+w = billiard_word(BilliardConfig(d=(1, sqrt(2), sqrt(3)), rho=(0, 0, 0))).prefix(100_000)
 profile = complexity(w, 8)
 print("independent direction, P(n) vs n^2+n+1:",
       [(profile.counts[n], n * n + n + 1) for n in range(1, 9)])

@@ -144,7 +144,10 @@ class SqrtBasisNumber:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -192,7 +195,10 @@ class SqrtBasisNumber:
         return self * other._inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

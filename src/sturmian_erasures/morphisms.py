@@ -188,8 +188,12 @@ class LetterClassification(Record):
     """Partition of the domain into nilpotent / permuting / expansive letters.
 
     permuting_core holds the letters whose nilpotent-reduced orbit returns to
-    the letter itself (with exponent >= 1); it is a subset of permuting.
-    witness maps each non-expansive letter to its witnessing exponent.
+    the letter itself; it is a subset of permuting.  witness maps each
+    non-expansive letter a to an exponent n >= 1:
+    - nilpotent a: the least n with f^n(a) empty;
+    - core a: the least n with f^n(a), nilpotent letters deleted, equal to a;
+    - other permuting a: the least n such that every letter of f^n(a) is
+      nilpotent or core and at least one is core.
     """
 
     nilpotent: frozenset
@@ -199,22 +203,27 @@ class LetterClassification(Record):
     witness: dict
 
 
+def _letter_orbit(f, letters):
+    """The letter sets of f^n(letters) for n = 0 .. 2^|A| + |A|.  Each set
+    depends only on the one before it and the domain A has 2^|A| subsets,
+    so every set of the orbit appears here."""
+    orbit = [frozenset(letters)]
+    try:
+        for _ in range(2 ** len(f.domain) + len(f.domain)):
+            orbit.append(frozenset("".join(map(f.images.__getitem__, orbit[-1]))))
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]!r} outside domain {f.domain!r}") from None
+    return orbit
+
+
 def classify_letters(f):
     alphabet = f.domain
+    orbits = {a: _letter_orbit(f, a) for a in alphabet}
 
-    # Nilpotent letters: least fixpoint of a -> f(a) in N*.
-    nilpotent = set()
-    witness = {}
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        for a in alphabet:
-            if a not in nilpotent and all(c in nilpotent for c in f.images[a]):
-                nilpotent.add(a)
-                witness[a] = rounds
-                changed = True
+    # Nilpotent letters: the empty set absorbs, so it ends the orbit once hit.
+    empty = frozenset()
+    witness = {a: orbit.index(empty) for a, orbit in orbits.items() if orbit[-1] == empty}
+    nilpotent = set(witness)
 
     def reduce(w):
         return "".join(c for c in w if c not in nilpotent)
@@ -238,28 +247,21 @@ def classify_letters(f):
                 witness[a] = steps
                 break
 
-    # Permuting letters: some iterate lands in (N u P')* \ N*.  The letter set
-    # of f^n(a) only depends on the letter set of f^(n-1)(a), so iterate set
-    # orbits; subsets of a 3-letter alphabet repeat within 2**3 + 3 steps.
+    # Permuting letters: some iterate lands in (N u P')* \ N*.  The orbit of
+    # a nilpotent letter stays inside N, so it never meets the core.
     good = nilpotent | core
-    permuting = set()
-    for a in alphabet:
-        if a in nilpotent:
-            continue
-        seen = {a}
-        for n in range(2 ** len(alphabet) + len(alphabet)):
+    for a, orbit in orbits.items():
+        for n, seen in enumerate(orbit):
             if seen <= good and seen & core:
-                permuting.add(a)
                 witness.setdefault(a, n)
                 break
-            seen = {c for b in seen for c in f.images[b]}
+    permuting = set(witness) - nilpotent
 
-    expansive = set(alphabet) - nilpotent - permuting
     return LetterClassification(
         nilpotent=frozenset(nilpotent),
         permuting_core=frozenset(core),
         permuting=frozenset(permuting),
-        expansive=frozenset(expansive),
+        expansive=frozenset(alphabet) - nilpotent - permuting,
         witness=witness,
     )
 

@@ -15,6 +15,7 @@ from functools import reduce
 
 from .monoid import StRejection, st_membership
 from .morphisms import (
+    A3,
     E0,
     E2,
     PHI1,
@@ -37,8 +38,6 @@ __all__ = [
     "primality",
     "projection_restriction",
 ]
-
-A3 = "012"
 
 
 class MSEVerdict(Record):

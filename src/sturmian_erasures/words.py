@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from operator import sub
 
-from .morphisms import PHI, apply
+from .morphisms import A3, PHI, _letter_orbit, apply
 from .records import Record
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "wse_verdict",
 ]
 
-ALPHABET = "012"
-
 
 class BoundedOutputError(RuntimeError):
     """Raised when a stream cannot produce the requested prefix length."""
@@ -54,15 +52,15 @@ class BoundedOutputError(RuntimeError):
 
 def check_word(w):
     # Three C-level counts cost about a fifth of building set(w).
-    if sum(map(w.count, ALPHABET)) != len(w):
-        bad = next(c for c in w if c not in ALPHABET)
+    if sum(map(w.count, A3)) != len(w):
+        bad = next(c for c in w if c not in A3)
         raise ValueError(f"letter {bad!r} outside alphabet 012")
     return w
 
 
 def erase(w, letter):
     """Delete every occurrence of the letter (the projection pi_letter)."""
-    if len(letter) != 1 or letter not in ALPHABET:
+    if len(letter) != 1 or letter not in A3:
         raise ValueError(f"letter {letter!r} outside alphabet 012")
     return check_word(w).replace(letter, "")
 
@@ -131,16 +129,7 @@ def fixed_point_stream(f, seed):
         raise ValueError(
             f"morphism is not prolongable on {seed!r}: image {image!r}"
         )
-    reachable = set(seed)
-    frontier = set(seed)
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            if a not in f.images:
-                raise ValueError(f"letter {a!r} reachable from {seed!r} has no image")
-            nxt |= set(f.images[a])
-        frontier = nxt - reachable
-        reachable |= nxt
+    reachable = frozenset().union(*_letter_orbit(f, seed))
     empty = [a for a in sorted(reachable) if f.images[a] == ""]
     if empty:
         raise ValueError(f"morphism erases reachable letters {empty}")
@@ -424,7 +413,7 @@ def wse_verdict(prefix, max_n):
     max_n = _checked_max_n(prefix, max_n)
     per = {}
     witness = None
-    for i in ALPHABET:
+    for i in A3:
         erased = erase(prefix, i)
         if not erased:
             raise ValueError(f"erasing {i!r} leaves an empty prefix")

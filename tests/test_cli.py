@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sturmian_erasures import apply, parse_morphism
-from sturmian_erasures.cli import build_parser, run
+from sturmian_erasures.cli import COMMANDS, build_parser, run
 
 from conftest import fib_prefix
 
@@ -211,6 +211,24 @@ def test_morphism_classify(capsys):
         "core: 01",
         "expansive: -",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_image_letters_outside_the_domain_exit_cleanly(capsys, fmt):
+    # 0=2,1=1 parses, but its image letter 2 has no image of its own.
+    for group, (_, commands) in COMMANDS.items():
+        for name, (_, _, arguments) in commands.items():
+            flags = [flag for flag, _ in arguments]
+            if "--spec" not in flags and "--with" not in flags:
+                continue
+            argv = [group, name, f"--format={fmt}"]
+            argv += [f"{flag}=0=2,1=1" for flag in flags if flag in ("--spec", "--with")]
+            argv += ["01"] if "word" in flags else []
+            code, _, err = _run(capsys, *argv)
+            assert code in (0, 1, 2), argv
+            if argv[:2] == ["morphism", "classify"]:
+                assert code == 2
+                assert err == "error: letter '2' outside domain '01'\n"
 
 
 def test_st_decompose(capsys):

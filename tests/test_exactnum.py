@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -141,7 +142,7 @@ def test_parse_number_examples():
 
 @pytest.mark.parametrize(
     "text",
-    ["sqrt(-1)", "sqrt(0)", "2**3", "sqrt(x)", "pi", "1/0", "1 +", "sqrt(1/2 + 1)"],
+    ["sqrt(-1)", "sqrt(0)", "2**3", "sqrt(x)", "pi", "1/0", "1 +", "sqrt(1/2 + 1)", "1.5", "True"],
 )
 def test_parse_number_rejects(text):
     with pytest.raises(ValueError):
@@ -207,6 +208,15 @@ def test_division_by_zero_raises():
         rational(1) / rational(0)
     with pytest.raises(ZeroDivisionError):
         (sqrt(2) + sqrt(3)) / rational(0)
+
+
+@pytest.mark.parametrize("other", [0.5, None, "a"])
+def test_foreign_operands_raise_type_error(other):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(other, sqrt(2))
+        with pytest.raises(TypeError):
+            op(sqrt(2), other)
 
 
 # A reference on {square-free key: Fraction} dicts, independent of the

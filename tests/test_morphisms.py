@@ -189,11 +189,18 @@ def _length_trace(f, steps):
     return out
 
 
+def _power(f, w, n):
+    for _ in range(n):
+        w = apply(f, w)
+    return w
+
+
 def test_classification_partition_exhaustive():
     """Over every ternary morphism with image lengths <= 3: the three classes
-    partition the alphabet, nilpotent letters die within |A| steps, and
-    boundedness agrees with incidence-power growth (lengths of bounded
-    letters are 6-periodic after the preperiod, so l_12 == l_24)."""
+    partition the alphabet, nilpotent letters die within |A| steps, each
+    witness exponent holds when f is iterated, and boundedness agrees with
+    incidence-power growth (lengths of bounded letters are 6-periodic after
+    the preperiod, so l_12 == l_24)."""
     alphabet = set("012")
     for i0 in ALL_SHORT_IMAGES:
         for i1 in ALL_SHORT_IMAGES:
@@ -210,6 +217,16 @@ def test_classification_partition_exhaustive():
                     for _ in range(3):
                         w = apply(f, w)
                     assert (w == "") == (a in c.nilpotent)
+                assert set(c.witness) == c.nilpotent | c.permuting
+                good = c.nilpotent | c.permuting_core
+                for a, n in c.witness.items():
+                    w = _power(f, a, n)
+                    if a in c.nilpotent:
+                        assert w == "" != _power(f, a, n - 1), (f, a, n)
+                    elif a in c.permuting_core:
+                        assert "".join(x for x in w if x not in c.nilpotent) == a, (f, a, n)
+                    else:
+                        assert set(w) <= good and set(w) & c.permuting_core, (f, a, n)
                 trace = _length_trace(f, 24)
                 for j, a in enumerate("012"):
                     bounded = a not in c.expansive

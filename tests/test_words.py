@@ -95,6 +95,8 @@ def test_fixed_point_stream():
         fixed_point_stream(ID2, "0")
     with pytest.raises(ValueError):
         fixed_point_stream(parse_morphism("0=01,1="), "0")
+    with pytest.raises(ValueError, match="letter '2' outside domain '01'"):
+        fixed_point_stream(parse_morphism("0=02,1=1"), "0")
 
 
 def test_fixed_point_stream_applies_f_to_each_letter_once(monkeypatch):
