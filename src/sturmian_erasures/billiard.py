@@ -9,6 +9,7 @@ involves a single coordinate this is a word over the three letters.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from itertools import chain, compress, count, groupby, repeat
 from operator import and_, sub
@@ -87,25 +88,68 @@ def _time_rows(config):
 class _Crossings:
     """Enclosures lo[pos] <= 2**64 * den * t <= hi[pos] of the time t at which
     coordinate moving[pos] next crosses x = counters[pos]; each crossing moves
-    them on by steps[pos], the enclosure of x_i."""
+    them on by steps[pos], the enclosure of x_i.
+
+    The coordinates fall into line classes.  In a class every x_i row is a
+    positive multiple P*v of one primitive integer row v, and the y_i rows
+    differ by integer multiples of v, so every crossing time of a member is
+    t0 + n*v with t0 the class's first crossing and n = m*P - C >= 0 an
+    integer; lines[pos] = (class, P, C).  Members enclose their times as
+    enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
+    two crossings are equal exactly when their n are, and then so are their
+    lower bounds.  A class of one keeps the tight enclosure of its first
+    crossing, as its t0 is that crossing."""
 
     def __init__(self, rows):
         self.moving, self.table = list(rows), list(rows.values())
         # Coordinate i first crosses at the least integer m >= rho_i.
         self.counters = [1 if any(y for _, _, y in row) else 0 for row in self.table]
-        self.steps = [_enclose({key: x for key, x, _ in row}, 64) for row in self.table]
-        first = [{key: m * x - y for key, x, y in row} for m, row in zip(self.counters, self.table)]
-        self.lo, self.hi = map(list, zip(*(_enclose(t, 64) for t in first)))
+        self.lines, bases = [], []  # bases: [v, y of the first member, least n]
+        for m, row in zip(self.counters, self.table):
+            xs, ys = [x for _, x, _ in row], [y for _, _, y in row]
+            p = math.gcd(*xs)
+            v = [x // p for x in xs]
+            k = next(k for k, x in enumerate(v) if x)
+            for cls, (w, y, _) in enumerate(bases):
+                c = (ys[k] - y[k]) // v[k]  # y_i = y + c*v, if any c does
+                if w == v and list(map(sub, ys, y)) == [c * x for x in v]:
+                    break
+            else:
+                cls, c = len(bases), 0
+                bases.append([v, ys, m * p])
+            # t = n*v - y with n = m*p - c, y that of the class's first member.
+            bases[cls][2] = min(bases[cls][2], m * p - c)
+            self.lines.append((cls, p, c))
+        # Shift each class's n so that its earliest first crossing has n = 0.
+        self.lines = [(cls, p, c + bases[cls][2]) for cls, p, c in self.lines]
+        keys = [key for key, _, _ in self.table[0]]
+        bounds = [
+            (_enclose(dict(zip(keys, v)), 64),
+             _enclose({key: n * x - y for key, x, y in zip(keys, v, ys)}, 64))
+            for v, ys, n in bases
+        ]
+        self.steps, self.lo, self.hi = [], [], []
+        for m, (cls, p, c) in zip(self.counters, self.lines):
+            (vs, vw), (ts, tw) = bounds[cls]
+            n = m * p - c
+            self.steps.append((p * vs, p * vw))
+            self.lo.append(ts + n * vs)
+            self.hi.append(tw + n * vw)
 
     def compare(self, a, ja, b, jb):
         """Sign of t_a - t_b for the crossings ja and jb after the next ones of
-        the coordinates at positions a and b, exact where enclosures overlap."""
+        the coordinates at positions a and b, exact where enclosures overlap:
+        on one line by the integers n, across lines by the rows."""
         (sa, wa), (sb, wb) = self.steps[a], self.steps[b]
         if self.lo[a] + ja * sa > self.hi[b] + jb * wb:
             return 1
         if self.hi[a] + ja * wa < self.lo[b] + jb * sb:
             return -1
         ma, mb = self.counters[a] + ja, self.counters[b] + jb
+        (ka, pa, ca), (kb, pb, cb) = self.lines[a], self.lines[b]
+        if ka == kb:
+            na, nb = ma * pa - ca, mb * pb - cb
+            return (na > nb) - (na < nb)
         return _sign_of({
             key: ma * xa - ya - mb * xb + yb
             for (key, xa, ya), (_, xb, yb) in zip(self.table[a], self.table[b])
@@ -144,9 +188,12 @@ class _Crossings:
         c it adds its crossings and one sentinel at or past c, each tagged
         64*lo + ord(letter), and one sort merges them.  With W the widest
         enclosure, bounds more than W apart are in certain order and runs
-        of closer ones (clusters) are re-sorted exactly.  What precedes the
-        first sentinel's cluster is committed.  When nothing is, or when an
-        enclosure is as wide as the shortest step, one exact step is taken.
+        of closer ones (clusters) are re-sorted exactly.  Two neighbours
+        with equal lower bounds on one line are an exact tie, which the
+        sort already put in coordinate order, so they are not compared.
+        What precedes the first sentinel's cluster is committed.  When
+        nothing is, or when an enclosure is as wide as the shortest step,
+        one exact step is taken.
         """
         lo, hi, steps, end = self.lo, self.hi, self.steps, 0
         if min(s for s, _ in steps) > max(map(sub, hi, lo)):
@@ -170,9 +217,15 @@ class _Crossings:
             links = list(compress(count(), map((64 * width + 63).__ge__, gaps))) if width else []
             while links and links[-1] == end - 1:
                 end = links.pop()
+            line = {48 + i: k for i, (k, _, _) in zip(self.moving, self.lines)}
             for at in links:  # insertion sort; it never leaves its cluster
-                while at >= 0 and self._exact(merged[at], merged[at + 1]) > 0:
-                    merged[at], merged[at + 1] = merged[at + 1], merged[at]
+                while at >= 0:
+                    u, v = merged[at], merged[at + 1]
+                    if u >> 6 == v >> 6 and line[u & 63] == line[v & 63]:
+                        break  # a tie on one line, already in coordinate order
+                    if self._exact(u, v) < 0:
+                        break
+                    merged[at], merged[at + 1] = v, u
                     at -= 1
         if not end:
             return self.step()

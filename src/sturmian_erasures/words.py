@@ -121,11 +121,11 @@ def literal_stream(w):
 def fixed_point_stream(f, seed):
     """The unique fixed point of f starting with seed.
 
-    Requires f(seed) to begin with seed with |f(seed)| >= 2, and f to be
+    Requires f(seed) to begin with seed and be longer than it, and f to be
     non-erasing on every letter reachable from seed.
     """
     image = apply(f, seed)
-    if not image.startswith(seed) or len(image) < 2:
+    if not image.startswith(seed) or len(image) <= len(seed):
         raise ValueError(
             f"morphism is not prolongable on {seed!r}: image {image!r}"
         )

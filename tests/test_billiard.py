@@ -22,7 +22,7 @@ from sturmian_erasures import (
     wse_verdict,
 )
 from sturmian_erasures.billiard import _Crossings, _time_rows
-from sturmian_erasures.exactnum import _make
+from sturmian_erasures.exactnum import _make, _sign_of
 
 THETA = parse_number("(1+sqrt(5))/2")
 GOLDEN = BilliardConfig(
@@ -196,21 +196,92 @@ def test_batched_word_property():
     check()
 
 
+def _config(d, rho):
+    return BilliardConfig(d=tuple(map(parse_number, d)), rho=tuple(map(parse_number, rho)))
+
+
+# Configs with two or three coordinates on one rational line: their x rows
+# are multiples of one row v and their y rows differ by multiples of v.
+LINE_CONFIGS = [
+    TIE,
+    TIE_SHIFTED,
+    # The seeded tie family (c1, c2*sqrt(2), c3*sqrt(2)) from the origin.
+    _config(["2", "3*sqrt(2)", "sqrt(2)"], ["0", "0", "0"]),
+    _config(["3", "2*sqrt(2)", "3*sqrt(2)"], ["0", "0", "0"]),
+    _config(["1", "sqrt(2)", "sqrt(2)"], ["0", "0", "0"]),
+    # Distinct nonzero offsets on the line, irrational and rational.
+    _config(["1", "sqrt(2)", "2*sqrt(2)"], ["0", "2*sqrt(2)-2", "4*sqrt(2)-5"]),
+    _config(["sqrt(2)", "2*sqrt(2)", "3*sqrt(2)"], ["1/2", "0", "1/3"]),
+]
+# Proportional x rows whose y rows differ by v/4 + 10**-24, off the line:
+# crossings 10**-24 apart, closer than any enclosure, but never equal.
+OFF_LINE = _config(
+    ["1", "sqrt(2)", "2*sqrt(2)"],
+    ["0", "sqrt(2)-1", "2*sqrt(2)-2+sqrt(2)/500000000000000000000000"],
+)
+
+
 @pytest.mark.parametrize(
     "config",
     [
-        TIE,
         BilliardConfig(d=(3, 5, 7), rho=(0, 0, 0)),
         BilliardConfig(
             d=(1, sqrt(2), sqrt(3)),
             rho=(0, parse_number("sqrt(2)/2"), parse_number("sqrt(3)/3")),
         ),
-    ],
+        OFF_LINE,
+    ]
+    + LINE_CONFIGS,
 )
 def test_advanced_enclosures_match_reference_far_out(config):
     # Each crossing widens its coordinate's enclosure, so check far from the start.
     expected = list(itertools.islice(_reference_events(config), 3000))
     assert _events(config, 3000) == expected
+
+
+def _line_split(config):
+    crossings = _Crossings(_time_rows(config)[0])
+    split = {}
+    for i, (cls, _, _) in zip(crossings.moving, crossings.lines):
+        split.setdefault(cls, []).append(i)
+    return list(split.values())
+
+
+def test_line_class_split():
+    assert _line_split(TIE) == [[0], [1, 2]]
+    assert _line_split(TIE_SHIFTED) == [[0], [1, 2]]
+    assert _line_split(BilliardConfig(d=(1, sqrt(2), sqrt(3)), rho=(0, 0, 0))) == [[0], [1], [2]]
+    assert _line_split(LINE_CONFIGS[-1]) == [[0, 1, 2]]
+    assert _line_split(OFF_LINE) == [[0], [1], [2]]
+    assert _line_split(BilliardConfig(d=(3, 5, 7), rho=(0, 0, 0))) == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("config", LINE_CONFIGS + [OFF_LINE])
+def test_line_order_matches_exact_sign(config):
+    # Second method: on one line, the sign of n_a - n_b is the exact sign of
+    # the difference of the two time rows, and the enclosures hold the time.
+    crossings = _Crossings(_time_rows(config)[0])
+    table, lines, counters = crossings.table, crossings.lines, crossings.counters
+    for a, b in itertools.product(range(len(table)), repeat=2):
+        if lines[a][0] != lines[b][0]:
+            continue
+        for ja, jb in itertools.product(range(41), repeat=2):
+            ma, mb = counters[a] + ja, counters[b] + jb
+            na, nb = ma * lines[a][1] - lines[a][2], mb * lines[b][1] - lines[b][2]
+            row = {key: ma * xa - ya - mb * xb + yb
+                   for (key, xa, ya), (_, xb, yb) in zip(table[a], table[b])}
+            sign = _sign_of(row)
+            assert (na > nb) - (na < nb) == sign == crossings.compare(a, ja, b, jb)
+            lo_a = crossings.lo[a] + ja * crossings.steps[a][0]
+            lo_b = crossings.lo[b] + jb * crossings.steps[b][0]
+            assert (lo_a > lo_b) - (lo_a < lo_b) == sign
+    for pos, row in enumerate(table):
+        (s, w), m = crossings.steps[pos], counters[pos]
+        for j in range(41):
+            scaled = {key: (m + j) * x - y << 64 for key, x, y in row}
+            lo, hi = crossings.lo[pos] + j * s, crossings.hi[pos] + j * w
+            assert _sign_of({**scaled, 1: scaled.get(1, 0) - lo}) >= 0
+            assert _sign_of({**scaled, 1: scaled.get(1, 0) - hi}) <= 0
 
 
 def test_tie_config_fuses_events():

@@ -72,6 +72,7 @@ REFUSALS = [
     ["morphism", "det", "--spec", "0=01"],
     ["analyze", "complexity", "0a1"],
     ["word", "fib", "--length", "99999999999"],
+    ["word", "fixed-point", "--spec", "0=0,1=1", "--seed", "01", "--length", "30"],
 ]
 
 HELP = [["--help"]] + [

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -97,6 +98,27 @@ def test_fixed_point_stream():
         fixed_point_stream(parse_morphism("0=01,1="), "0")
     with pytest.raises(ValueError, match="letter '2' outside domain '01'"):
         fixed_point_stream(parse_morphism("0=02,1=1"), "0")
+
+
+def test_fixed_point_stream_needs_an_image_longer_than_the_seed():
+    # f(01) = 01 begins with the seed but never grows past it.
+    with pytest.raises(ValueError, match="not prolongable on '01'"):
+        fixed_point_stream(ID2, "01")
+    assert fixed_point_stream(parse_morphism("0=01,1=10"), "01").prefix(8) == "01101001"
+    # Every accepted seed yields as many letters as asked, equal to the
+    # iterated images of the seed.
+    images = ["".join(w) for n in range(4) for w in itertools.product("01", repeat=n)]
+    for im0, im1 in itertools.product(images, repeat=2):
+        f = Morphism({"0": im0, "1": im1})
+        for seed in ("0", "1", "01"):
+            try:
+                stream = fixed_point_stream(f, seed)
+            except ValueError:
+                continue
+            w = seed
+            while len(w) < 30:
+                w = apply(f, w)
+            assert stream.prefix(30) == w[:30]
 
 
 def test_fixed_point_stream_applies_f_to_each_letter_once(monkeypatch):
