@@ -86,7 +86,7 @@ def _time_rows(config):
 
 
 class _Crossings:
-    """Enclosures lo[pos] <= 2**64 * den * t <= hi[pos] of the time t at which
+    """Enclosures lo[pos] <= 2**k * den * t <= hi[pos] of the time t at which
     coordinate moving[pos] next crosses x = counters[pos]; each crossing moves
     them on by steps[pos], the enclosure of x_i.
 
@@ -98,37 +98,43 @@ class _Crossings:
     enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
     two crossings are equal exactly when their n are, and then so are their
     lower bounds.  A class of one keeps the tight enclosure of its first
-    crossing, as its t0 is that crossing."""
+    crossing, as its t0 is that crossing.  k starts at 64; letters()
+    doubles it while an enclosure could reach a quarter of a step."""
 
     def __init__(self, rows):
         self.moving, self.table = list(rows), list(rows.values())
         # Coordinate i first crosses at the least integer m >= rho_i.
         self.counters = [1 if any(y for _, _, y in row) else 0 for row in self.table]
-        self.lines, bases = [], []  # bases: [v, y of the first member, least n]
+        self.lines, self.bases = [], []  # bases: [v, y of the first member, least n]
         for m, row in zip(self.counters, self.table):
             xs, ys = [x for _, x, _ in row], [y for _, _, y in row]
             p = math.gcd(*xs)
             v = [x // p for x in xs]
             k = next(k for k, x in enumerate(v) if x)
-            for cls, (w, y, _) in enumerate(bases):
+            for cls, (w, y, _) in enumerate(self.bases):
                 c = (ys[k] - y[k]) // v[k]  # y_i = y + c*v, if any c does
                 if w == v and list(map(sub, ys, y)) == [c * x for x in v]:
                     break
             else:
-                cls, c = len(bases), 0
-                bases.append([v, ys, m * p])
+                cls, c = len(self.bases), 0
+                self.bases.append([v, ys, m * p])
             # t = n*v - y with n = m*p - c, y that of the class's first member.
-            bases[cls][2] = min(bases[cls][2], m * p - c)
+            self.bases[cls][2] = min(self.bases[cls][2], m * p - c)
             self.lines.append((cls, p, c))
         # Shift each class's n so that its earliest first crossing has n = 0.
-        self.lines = [(cls, p, c + bases[cls][2]) for cls, p, c in self.lines]
+        self.lines = [(cls, p, c + self.bases[cls][2]) for cls, p, c in self.lines]
+        self._enclose_at(64)
+
+    def _enclose_at(self, k):
+        """Enclose the next crossings at precision 2**k, each member of a
+        class as enclose(t0) + n*enclose(v)."""
         keys = [key for key, _, _ in self.table[0]]
         bounds = [
-            (_enclose(dict(zip(keys, v)), 64),
-             _enclose({key: n * x - y for key, x, y in zip(keys, v, ys)}, 64))
-            for v, ys, n in bases
+            (_enclose(dict(zip(keys, v)), k),
+             _enclose({key: n * x - y for key, x, y in zip(keys, v, ys)}, k))
+            for v, ys, n in self.bases
         ]
-        self.steps, self.lo, self.hi = [], [], []
+        self.k, self.steps, self.lo, self.hi = k, [], [], []
         for m, (cls, p, c) in zip(self.counters, self.lines):
             (vs, vw), (ts, tw) = bounds[cls]
             n = m * p - c
@@ -167,19 +173,6 @@ class _Crossings:
         self.lo[pos] += count * self.steps[pos][0]
         self.hi[pos] += count * self.steps[pos][1]
 
-    def step(self):
-        """The next event's block: its coordinates, exactly ordered, ascending."""
-        best = [0]
-        for pos in range(1, len(self.moving)):
-            cmp = self.compare(pos, 0, best[0], 0)
-            if cmp < 0:
-                best = [pos]
-            elif cmp == 0:
-                best.append(pos)
-        for pos in best:
-            self.advance(pos, 1)
-        return "".join(str(self.moving[pos]) for pos in best)
-
     def letters(self, need):
         """The letters of the next events: about max(need, 256) of them, at
         most about 4096, and always at least one event's block.
@@ -191,44 +184,48 @@ class _Crossings:
         of closer ones (clusters) are re-sorted exactly.  Two neighbours
         with equal lower bounds on one line are an exact tie, which the
         sort already put in coordinate order, so they are not compared.
-        What precedes the first sentinel's cluster is committed.  When
-        nothing is, or when an enclosure is as wide as the shortest step,
-        one exact step is taken.
+        What precedes the first sentinel's cluster is committed.
+
+        With s the shortest step, c lies at least 85*s past the least lower
+        bound (a third of 256 steps) and under 4112 steps past any.  The
+        precision is doubled until the enclosures, grown by 4112 steps,
+        give 4*(W + 1) <= s.  Linked neighbours lie at most W + 1 apart, so
+        no cluster holds two crossings of one coordinate or spans over half
+        a step: the first sentinel's cluster never reaches the least lower
+        bound, and every batch commits.
         """
-        lo, hi, steps, end = self.lo, self.hi, self.steps, 0
-        if min(s for s, _ in steps) > max(map(sub, hi, lo)):
-            # About min(max(need, 256), 4096) crossings lie below c, and none
-            # of them widens its enclosure by more than a quarter step.
-            top = max(s for s, _ in steps) << 8
-            size = min(max(need, 256), 4096) * top // sum(top // s for s, _ in steps)
-            c = min(lo) + max(1, min([size] + [s * s // (4 * (w - s)) for s, w in steps if w > s]))
-            ranges, sentinels, width = [], [], 0
-            for pos, i in enumerate(self.moving):
-                (s, w), first = steps[pos], lo[pos]
-                k = max(0, -((first - c) // s))  # crossings with lower bound below c
-                sentinels.append(64 * (first + k * s) + 48 + i)
-                ranges.append(range(64 * first + 48 + i, sentinels[-1] + 1, 64 * s))
-                width = max(width, hi[pos] - first + k * (w - s))
-            merged = sorted(chain(*ranges))
-            end = bisect_left(merged, min(sentinels))
-            # A tagged gap above 64W + 63 is a gap above W between lower
-            # bounds; the others link the neighbours of one cluster.
-            gaps = map(sub, merged[1 : end + 1], merged)
-            links = list(compress(count(), map((64 * width + 63).__ge__, gaps))) if width else []
-            while links and links[-1] == end - 1:
-                end = links.pop()
-            line = {48 + i: k for i, (k, _, _) in zip(self.moving, self.lines)}
-            for at in links:  # insertion sort; it never leaves its cluster
-                while at >= 0:
-                    u, v = merged[at], merged[at + 1]
-                    if u >> 6 == v >> 6 and line[u & 63] == line[v & 63]:
-                        break  # a tie on one line, already in coordinate order
-                    if self._exact(u, v) < 0:
-                        break
-                    merged[at], merged[at + 1] = v, u
-                    at -= 1
-        if not end:
-            return self.step()
+        while 4 * max(
+            h - l + 4112 * (w - s) + 1 for l, h, (s, w) in zip(self.lo, self.hi, self.steps)
+        ) > min(s for s, _ in self.steps):
+            self._enclose_at(2 * self.k)
+        lo, hi, steps = self.lo, self.hi, self.steps
+        top = max(s for s, _ in steps) << 8
+        c = min(lo) + min(max(need, 256), 4096) * top // sum(top // s for s, _ in steps)
+        ranges, sentinels, width = [], [], 0
+        for pos, i in enumerate(self.moving):
+            (s, w), first = steps[pos], lo[pos]
+            k = max(0, -((first - c) // s))  # crossings with lower bound below c
+            sentinels.append(64 * (first + k * s) + 48 + i)
+            ranges.append(range(64 * first + 48 + i, sentinels[-1] + 1, 64 * s))
+            width = max(width, hi[pos] - first + k * (w - s))
+        merged = sorted(chain(*ranges))
+        end = bisect_left(merged, min(sentinels))
+        # A tagged gap above 64W + 63 is a gap above W between lower
+        # bounds; the others link the neighbours of one cluster.
+        gaps = map(sub, merged[1 : end + 1], merged)
+        links = list(compress(count(), map((64 * width + 63).__ge__, gaps))) if width else []
+        while links and links[-1] == end - 1:
+            end = links.pop()
+        line = {48 + i: k for i, (k, _, _) in zip(self.moving, self.lines)}
+        for at in links:  # insertion sort; it never leaves its cluster
+            while at >= 0:
+                u, v = merged[at], merged[at + 1]
+                if u >> 6 == v >> 6 and line[u & 63] == line[v & 63]:
+                    break  # a tie on one line, already in coordinate order
+                if self._exact(u, v) < 0:
+                    break
+                merged[at], merged[at + 1] = v, u
+                at -= 1
         word = bytes(map(and_, merged[:end], repeat(63))).decode()
         for pos, i in enumerate(self.moving):
             self.advance(pos, word.count(str(i)))

@@ -68,17 +68,19 @@ def _sign_of(ints):
     return 1 if _floor_of(ints, 1) >= 0 else -1
 
 
-def _floor_of(ints, den):
-    """floor(sum(c * sqrt(b)) / den) for integer coefficients c and den > 0."""
+def _floor_of(ints, den, div=operator.floordiv):
+    """floor(sum(c * sqrt(b)) / den) for integer coefficients c and den > 0,
+    or its nearest float with div=operator.truediv: both round monotonically,
+    so once both ends of an enclosure round alike, so does the value."""
     k = 64
     while True:
         lo, hi = _enclose(ints, k)
         unit = den << k
-        f = lo // unit
-        if f == hi // unit:
+        f = div(lo, unit)
+        if f == div(hi, unit):
             return f
-        # An irrational value is never an integer, so the enclosure
-        # eventually falls inside a single unit interval.
+        # An irrational value is never an integer, nor a float or the
+        # midpoint of two, so the enclosure eventually rounds alike.
         k *= 2
 
 
@@ -254,7 +256,7 @@ class SqrtBasisNumber:
     # -- presentation ---------------------------------------------------------
 
     def __float__(self):
-        return float(sum(c / self._den * math.sqrt(b) for b, c in self._ints.items()))
+        return _floor_of(self._ints, self._den, operator.truediv)
 
     def __str__(self):
         if not self._ints:

@@ -103,12 +103,28 @@ def test_fast_path_matches_reference_ordering(config):
     assert billiard_word(config).prefix(400) == word[:400]
 
 
+def _exact_step(crossings):
+    """The next event's block, found by compare alone and taken with advance:
+    the exact per-event reference for the batched letters."""
+    best = [0]
+    for pos in range(1, len(crossings.moving)):
+        cmp = crossings.compare(pos, 0, best[0], 0)
+        if cmp < 0:
+            best = [pos]
+        elif cmp == 0:
+            best.append(pos)
+    for pos in best:
+        crossings.advance(pos, 1)
+    return "".join(str(crossings.moving[pos]) for pos in best)
+
+
 def _step_events(config, count):
-    """The events of the exact per-event path, _Crossings.step, apart from
-    the batched merge; each is timed at its first coordinate's crossing."""
+    """The events of _exact_step, one exactly ordered event at a time, apart
+    from the batched merge; each is timed at its first coordinate's crossing."""
     rows, den = _time_rows(config)
     crossings = _Crossings(rows)
-    for block in itertools.islice(iter(crossings.step, None), count):
+    for _ in range(count):
+        block = _exact_step(crossings)
         i = int(block[0])
         m = crossings.counters[crossings.moving.index(i)] - 1
         t = _make({key: m * x - y for key, x, y in rows[i]}, den)
@@ -146,14 +162,14 @@ def _wide_start(exponent, radicand):
 
 U21, U24 = ((rational(1) + sqrt(2)) ** power for power in (21, 24))
 WIDE_CONFIGS = [
-    # x_i = 1/d_i has integer coefficients far larger than its value, so its
-    # enclosure widens by one step every 4,400 crossings (U21) or every 22
-    # (U24); from then on every event takes the exact step.
+    # x_i = 1/d_i has integer coefficients far larger than its value, so at
+    # 64 bits its enclosure widens by one step every 4,400 crossings (U21)
+    # or every 22 (U24), and the batches must raise the precision.
     BilliardConfig(d=(0, U21, U21 * sqrt(2)), rho=(0, 0, 0)),
     BilliardConfig(d=(1, U21, U21 * sqrt(3)), rho=(0, parse_number("1/3"), sqrt(2) - 1)),
     BilliardConfig(d=(0, U24, U24 * sqrt(2)), rho=(0, 0, 0)),
-    # Starts whose enclosures stay a quarter to a half step wide: clusters
-    # are common, and some reach the horizon of their batch.
+    # Starts whose 64-bit enclosures are a quarter to a half step wide, so
+    # the first batch raises the precision.
     BilliardConfig(d=(1, sqrt(2), sqrt(3)), rho=(_wide_start(62, 2), 0, 0)),
     BilliardConfig(d=(2, 2, 2 * sqrt(2)), rho=(_wide_start(62, 3), 0, _wide_start(62, 3))),
 ]
@@ -163,6 +179,14 @@ WIDE_CONFIGS = [
 def test_wide_enclosures_match_exact_events(config):
     for step in (1, 61):
         assert _stepped_prefix(config, 2000, step) == _event_word(config, 2000)
+
+
+@pytest.mark.parametrize("config", WIDE_CONFIGS)
+def test_wide_batches_commit_hundreds_of_letters(config):
+    # The precision follows the rows, so no batch shrinks to a single event.
+    crossings = _Crossings(_time_rows(config)[0])
+    for _ in range(60):
+        assert len(crossings.letters(256)) >= 200
 
 
 @pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS + WIDE_CONFIGS)
@@ -177,12 +201,16 @@ def test_batched_word_property():
     from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 
+    # Powers of the unit 1+sqrt(2) have coefficients far larger than their
+    # values, so the batches raise the precision; the last start puts such
+    # coefficients into the y rows.
     directions = st.sampled_from(
-        ["0", "sqrt(2)", "sqrt(3)", "2*sqrt(2)", "(sqrt(5)-1)/2"]
+        ["0", "sqrt(2)", "sqrt(3)", "2*sqrt(2)", "(sqrt(5)-1)/2", "54608393+38613965*sqrt(2)",
+         "77227930+54608393*sqrt(2)", "768398401+543339720*sqrt(2)"]
     ) | st.builds("{}/{}".format, st.integers(1, 6), st.integers(1, 4))
     starts = st.sampled_from(
         ["sqrt(2)-1", "sqrt(3)-1", "(sqrt(5)-1)/2", "sqrt(2)/2", "sqrt(3)/3", "2-sqrt(3)",
-         "2-sqrt(2)", "1-sqrt(2)/2"]
+         "2-sqrt(2)", "1-sqrt(2)/2", "100000000000*sqrt(2)-141421356237"]
     ) | st.builds(lambda q, p: f"{p % q}/{q}", st.integers(1, 7), st.integers(0, 6))
 
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,7 +1,7 @@
 import math
 import operator
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -128,6 +128,26 @@ def test_comparisons_match_high_precision_decimal():
             assert dx < dy
         else:
             assert dx > dy
+
+
+def test_float_is_correctly_rounded():
+    # The terms of these values cancel, so a sum of rounded floats loses
+    # digits; float() rounds the exact value once, as the decimal does.
+    assert float(parse_number("100000000000000000000*sqrt(2)-141421356237309504880")) == (
+        0.16887242096980787
+    )
+    assert float(parse_number("1000000000000*sqrt(2)-1414213562373")) == 0.0950488016887242
+    assert float(parse_number("(3-sqrt(5))/2")) == 0.38196601125010515
+    assert float(rational(0)) == 0.0 and float(parse_number("-7/3")) == -7 / 3
+    rng = random.Random(17)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for _ in range(3000):
+            p, q = rng.sample((2, 3, 5, 6, 7, 10, 11), 2)
+            a, b = rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)
+            x = SqrtBasisNumber({p: Fraction(a, rng.randint(1, 1000)), q: b})
+            x = x - rational(x.floor())
+            assert float(x) == float(_to_decimal(x))
 
 
 def test_parse_number_examples():
