@@ -8,19 +8,14 @@ prefix of prefix(L') for L <= L'.
 The factor complexity P(n) comes from one suffix automaton (Blumer et
 al., 1985), built in one pass: each state holds the factors of lengths
 len(link)+1 .. len(state), so a difference array over those ranges gives
-every P(n) at once.  The imbalance comes from the gaps between letter
-positions, scanned at C level: an n-window holds at most as many of a set
-of positions as there are k whose shortest window holding k of them fits
-in n letters, and at least as many as there are k whose longest window
-holding only k of them is shorter than n.
+every P(n) at once.  The imbalance comes from a bit-sliced counter over
+the positions of each letter, held as one int; wse_verdict builds the
+automaton only for an erasure that is not balanced.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from itertools import compress, islice
-from operator import sub
 
 from .morphisms import A3, PHI, _letter_orbit, apply
 from .records import Record
@@ -311,49 +306,45 @@ def complexity(prefix, max_n=None):
 
 
 def balance_order(prefix, max_n=None):
+    """imbalance[n], n = 1 .. max_n: the largest over letters a of max - min,
+    the extreme counts of a over the windows prefix[s:s+n], 0 <= s <= L - n.
+
+    The positions of a are the bits of one int (int(..., 2) reads a
+    power-of-two base, which the int/str digit limit exempts).  A bit-sliced
+    counter, planes[k] holding bit k of each start's count, adds bits >> (n-1)
+    with one ripple carry per n; max and min are read greedily from the top
+    plane down.  A binary word needs one letter, whose complement has its spread.
+    """
     max_n = _checked_max_n(prefix, max_n)
-    length = len(prefix)
-    # A letter and its complement have the same spread of window counts, so
-    # take whichever position set is sparser, once per distinct set.
-    position_sets = []
-    for a in sorted(set(prefix)):
-        sparser = a.__ne__ if 2 * prefix.count(a) > length else a.__eq__
-        p = list(compress(range(length), map(sparser, prefix)))
-        if p and p not in position_sets:
-            position_sets.append(p)
-    spans = []
-    for p in position_sets:
-        # shortest[k-1]: shortest window holding k positions; at most
-        # #{k : shortest <= n} of them fit in an n-window.
-        shortest = [1]
-        while len(shortest) < len(p):
-            g = min(map(sub, islice(p, len(shortest), None), p)) + 1
-            if g > max_n:
-                break
-            shortest.append(g)
-        # longest[k]: longest window holding only k positions; at least
-        # #{k : longest < n} of them lie in every n-window.
-        q = [-1, *p, length]
-        longest = []
-        while True:
-            big = max(map(sub, islice(q, len(longest) + 1, None), q)) - 1
-            if big >= max_n:
-                break
-            longest.append(big)
-        spans.append((shortest, longest))
-    imbalance = {
-        n: max(
-            (bisect_right(shortest, n) - bisect_left(longest, n) for shortest, longest in spans),
-            default=0,
-        )
-        for n in range(1, max_n + 1)
-    }
-    return BalanceProfile(
-        max_n=max_n,
-        imbalance=imbalance,
-        order=max(imbalance.values()),
-        prefix_length=length,
-    )
+    letters = sorted(set(prefix))
+    imbalance = dict.fromkeys(range(1, max_n + 1), 0)
+    for a in letters if len(letters) == 3 else letters[:1]:
+        bits = int(prefix[::-1].translate({ord(b): "01"[a == b] for b in A3}), 2)
+        planes = []
+        for n in range(1, max_n + 1):
+            carry = bits >> (n - 1)
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+            # Valid starts whose counts match the max (min) on planes read so far.
+            top = bottom = (1 << (len(prefix) - n + 1)) - 1
+            spread = 0
+            for k in reversed(range(len(planes))):
+                plane = planes[k]
+                if top & plane:
+                    top &= plane
+                    spread += 1 << k
+                if bottom & plane == bottom:
+                    spread -= 1 << k
+                else:
+                    bottom &= ~plane
+            imbalance[n] = max(imbalance[n], spread)
+    return BalanceProfile(max_n=max_n, imbalance=imbalance, order=max(imbalance.values()),
+                          prefix_length=len(prefix))
 
 
 class SturmianVerdict(Record):
@@ -409,7 +400,14 @@ class WSEVerdict(Record):
 
 
 def wse_verdict(prefix, max_n):
-    """Erase each letter and test the Sturmian verdict of the projection."""
+    """Erase each letter and test the Sturmian verdict of the projection.
+
+    Erasure e gets sturmian_verdict(complexity(e, n_cap), balance_order(e,
+    n_cap)), n_cap = min(max_n, len(e)), with complexity skipped at balance
+    order <= 1: the factors of length <= n_cap then form a factorial set of
+    balanced words, which has at most n + 1 words of length n (Lothaire,
+    Algebraic Combinatorics on Words, Prop. 2.1.2), so no P(n) refutes e.
+    """
     max_n = _checked_max_n(prefix, max_n)
     per = {}
     witness = None
@@ -418,9 +416,11 @@ def wse_verdict(prefix, max_n):
         if not erased:
             raise ValueError(f"erasing {i!r} leaves an empty prefix")
         n_cap = min(max_n, len(erased))
-        verdict = sturmian_verdict(
-            complexity(erased, n_cap), balance_order(erased, n_cap)
-        )
+        balance = balance_order(erased, n_cap)
+        if balance.order < 2:
+            verdict = SturmianVerdict(consistent=True, coverage=n_cap)
+        else:
+            verdict = sturmian_verdict(complexity(erased, n_cap), balance)
         per[i] = verdict
         if not verdict.consistent and witness is None:
             witness = f"erasure {i}: {verdict.witness}"

@@ -1,13 +1,19 @@
 import itertools
 import random
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
+from operator import sub
 
 import pytest
 
 from sturmian_erasures import (
+    BilliardConfig,
     BoundedOutputError,
+    WSEVerdict,
     apply,
     apply_stream,
     balance_order,
+    billiard_word,
     complexity,
     erase,
     fibonacci_numbers,
@@ -19,6 +25,7 @@ from sturmian_erasures import (
     parse_number,
     psi,
     rational,
+    sqrt,
     sturmian_verdict,
     wse_verdict,
 )
@@ -357,6 +364,58 @@ def _naive_imbalance(w, max_n):
     return out
 
 
+def _gap_scan_imbalance(w, max_n):
+    """imbalance[n] from the gaps between positions: an n-window holds at
+    most as many of a set of positions as there are k whose shortest window
+    holding k of them fits in n letters, and at least as many as there are k
+    whose longest window holding only k of them is shorter than n.  Each set
+    is one letter's positions, or its complement's when that is sparser."""
+    position_sets = []
+    for a in sorted(set(w)):
+        sparser = a.__ne__ if 2 * w.count(a) > len(w) else a.__eq__
+        p = list(compress(range(len(w)), map(sparser, w)))
+        if p and p not in position_sets:
+            position_sets.append(p)
+    spans = []
+    for p in position_sets:
+        shortest = [1]  # shortest[k-1]: shortest window holding k positions
+        while len(shortest) < len(p):
+            g = min(map(sub, islice(p, len(shortest), None), p)) + 1
+            if g > max_n:
+                break
+            shortest.append(g)
+        q = [-1, *p, len(w)]
+        longest = []  # longest[k]: longest window holding only k positions
+        while True:
+            big = max(map(sub, islice(q, len(longest) + 1, None), q)) - 1
+            if big >= max_n:
+                break
+            longest.append(big)
+        spans.append((shortest, longest))
+    return {
+        n: max((bisect_right(sh, n) - bisect_left(lo, n) for sh, lo in spans), default=0)
+        for n in range(1, max_n + 1)
+    }
+
+
+def _complexity_first_verdict(e, n_cap):
+    return sturmian_verdict(complexity(e, n_cap), balance_order(e, n_cap))
+
+
+def _complexity_first_wse_verdict(prefix, max_n, erasure_verdict=_complexity_first_verdict):
+    """wse_verdict with a complexity pass on every erasure."""
+    per = {}
+    for i in "012":
+        e = erase(prefix, i)
+        per[i] = erasure_verdict(e, min(max_n, len(e)))
+    refuted = [f"erasure {i}: {v.witness}" for i, v in per.items() if not v.consistent]
+    return WSEVerdict(consistent=not refuted, per_erasure=per, witness=(refuted or [None])[0])
+
+
+def _witness_kinds(verdicts):
+    return {v.witness.split(": ")[1].split("(")[0] for v in verdicts if v.witness}
+
+
 def _assert_matches_naive(w):
     """complexity and balance_order equal the references for every max_n."""
     counts, imbalance = _naive_complexity(w, len(w)), _naive_imbalance(w, len(w))
@@ -396,6 +455,8 @@ def test_analyzers_match_naive_on_long_analysis_words():
         w = apply(f, F)[:3000]
         assert complexity(w, 64).counts == _naive_complexity(w, 64)
         assert balance_order(w, 64).imbalance == _naive_imbalance(w, 64)
+        for max_n in (8, 64):
+            assert wse_verdict(w, max_n) == _complexity_first_wse_verdict(w, max_n)
 
 
 def test_analyzers_match_naive_property():
@@ -404,13 +465,57 @@ def test_analyzers_match_naive_property():
     from hypothesis import strategies as st
 
     @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="012", min_size=1, max_size=120), st.data())
+    @given(st.text(alphabet="012", min_size=1, max_size=600), st.data())
     def check(w, data):
         max_n = data.draw(st.integers(1, len(w)))
-        assert complexity(w, max_n).counts == _naive_complexity(w, max_n)
-        assert balance_order(w, max_n).imbalance == _naive_imbalance(w, max_n)
+        assert balance_order(w, max_n).imbalance == _gap_scan_imbalance(w, max_n)
+        if len(w) <= 120:
+            assert complexity(w, max_n).counts == _naive_complexity(w, max_n)
+            assert balance_order(w, max_n).imbalance == _naive_imbalance(w, max_n)
 
     check()
+
+
+def test_balance_order_with_eight_or_more_counter_planes():
+    # max_n >= 128 needs 8 bit planes, max_n >= 256 needs 9; max_n = len(w)
+    # leaves one valid start.  Some words have a letter of density > 1/2.
+    rng = random.Random(16)
+    for trial in range(16):
+        length = rng.randint(256, 420)
+        letters = rng.sample("012", rng.randint(2, 3))
+        weights = [rng.uniform(0.05, 1) for _ in letters]
+        if trial % 2:
+            weights[0] = 3 * sum(weights)
+        w = "".join(rng.choices(letters, weights, k=length))
+        naive = _naive_imbalance(w, length)
+        for max_n in (128, 255, 256, length):
+            got = balance_order(w, max_n)
+            assert got.imbalance == _gap_scan_imbalance(w, max_n)
+            assert got.imbalance == {n: naive[n] for n in range(1, max_n + 1)}
+            assert got.order == max(got.imbalance.values())
+    # Runs of exactly 128 and 256 letters fill the top plane of 8 and 9, and
+    # one-letter words have spread 0 at every n.
+    for run in (128, 256):
+        for w in ("0" * run + "1" + "0" * 200, "1" + "2" * run + "0" + "2" * run, "1" * run):
+            for max_n in (run - 1, run, len(w)):
+                assert balance_order(w, max_n).imbalance == _gap_scan_imbalance(w, max_n)
+
+
+def test_balance_order_on_a_billiard_prefix():
+    config = BilliardConfig(
+        d=(rational(1), sqrt(2), sqrt(3)),
+        rho=(parse_number("1/3"), parse_number("1/5"), parse_number("1/7")),
+    )
+    w = billiard_word(config).prefix(20_000)
+    for word in (w, *(erase(w, i) for i in "012")):
+        assert balance_order(word, 64).imbalance == _gap_scan_imbalance(word, 64)
+
+
+def test_balance_order_reads_past_the_int_digit_limit():
+    # int(..., 2) reads a power-of-two base, which the int/str digit limit
+    # (4,300 digits by default on interpreters that have one) does not cover.
+    w = fib_prefix(1_000_000)
+    assert balance_order(w, 8).imbalance == dict.fromkeys(range(1, 9), 1)
 
 
 def test_balance_examples():
@@ -463,3 +568,64 @@ def test_wse_verdict():
 
     with pytest.raises(ValueError):
         wse_verdict("00", 1)
+
+
+def test_wse_verdict_equals_complexity_first_on_short_words():
+    # Every ternary word of length <= 8 with two letters or more (a one-letter
+    # word has an empty erasure), at every max_n.
+    erasure_verdicts = {}
+
+    def cached(e, n_cap):
+        if (e, n_cap) not in erasure_verdicts:
+            erasure_verdicts[e, n_cap] = _complexity_first_verdict(e, n_cap)
+        return erasure_verdicts[e, n_cap]
+
+    seen = []
+    for length in range(2, 9):
+        for letters in itertools.product("012", repeat=length):
+            w = "".join(letters)
+            if len(set(w)) < 2:
+                continue
+            for max_n in range(1, length + 1):
+                expected = _complexity_first_wse_verdict(w, max_n, cached)
+                assert wse_verdict(w, max_n) == expected
+                seen.append(expected)
+    assert _witness_kinds(seen) == {"P", "imbalance"}
+
+
+def test_wse_verdict_equals_complexity_first_on_refuted_words():
+    # Seeded images of the Fibonacci word under ternary morphisms, with one
+    # letter changed or a block of one letter in front: refutations by P(n)
+    # and by imbalance alone.
+    rng = random.Random(1601)
+    F = fib_prefix(2000)
+    seen = []
+    for trial in range(80):
+        f = Morphism({a: "".join(rng.choices("012", k=rng.randint(1, 3))) for a in "01"})
+        w = apply(f, F)[: rng.randint(200, 1500)]
+        if trial % 2:
+            w = rng.choice("012") * rng.randint(1, 6) + w
+        else:
+            i = rng.randrange(len(w))
+            w = w[:i] + rng.choice("012") + w[i + 1 :]
+        if len(set(w)) < 2:
+            continue
+        max_n = rng.choice([4, 16, 64])
+        expected = _complexity_first_wse_verdict(w, max_n)
+        assert wse_verdict(w, max_n) == expected
+        seen.append(expected)
+    assert _witness_kinds(seen) == {"P", "imbalance"}
+
+
+def test_wse_verdict_runs_complexity_only_on_unbalanced_erasures(monkeypatch):
+    calls = []
+    counted = words_module.complexity
+    monkeypatch.setattr(
+        words_module, "complexity", lambda e, n: calls.append(e) or counted(e, n)
+    )
+    g = parse_morphism("0=02,1=10,2=")
+    assert wse_verdict(apply(g, fib_prefix(5000)), 30).consistent
+    assert calls == []
+    fh = apply(parse_morphism("0=0012,1=10,2="), fib_prefix(5000))
+    assert wse_verdict(fh, 30).witness == "erasure 2: P(2)=4 > 3"
+    assert calls == [erase(fh, i) for i in "012" if balance_order(erase(fh, i), 30).order >= 2]
