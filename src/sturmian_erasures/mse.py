@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .monoid import StRejection, st_membership
+from .monoid import StRejection, _decide
 from .morphisms import (
     A3,
     E0,
@@ -78,18 +78,23 @@ _RECODE = {j: str.maketrans(A3.replace(j, ""), "01", j) for j in A3}
 def projection_restriction(f, i, j):
     """Erase j from the images of f, restrict the domain to A3 minus i, and
     recode both sides order-preservingly to {0,1}."""
-    table = _RECODE.get(j)
-    if table is None:
-        raise ValueError(f"letter {j!r} outside alphabet 012")
+    for letter in (i, j):
+        if letter not in _RECODE:
+            raise ValueError(f"letter {letter!r} outside alphabet 012")
+    table = _RECODE[j]
     return Morphism(
         {str(pos): f.images[a].translate(table) for pos, a in enumerate(A3.replace(i, ""))}
     )
 
 
-def mse_membership(f):
-    """Decide membership among erasure-preserving ternary morphisms."""
+def _require_ternary(f):
     if not isinstance(f, Morphism) or f.domain != A3:
         raise ValueError("mse_membership expects a morphism on 012")
+
+
+def mse_membership(f):
+    """Decide membership among erasure-preserving ternary morphisms."""
+    _require_ternary(f)
     if sorted(f.images.values()) == ["0", "1", "2"]:
         return MSEVerdict(kind="permutation")
     erased = [i for i in A3 if f.images[i] == ""]
@@ -103,9 +108,10 @@ def mse_membership(f):
     filt = length_filter(f)
     if filt is not None:
         return MSEVerdict(kind="rejected", reason="length-filter", witness=filt)
+    u, v = (f.images[a] for a in A3 if a != i)  # projection_restriction recodes these
     certificates = {}
-    for j in A3:
-        outcome = st_membership(projection_restriction(f, i, j))
+    for j, table in _RECODE.items():
+        outcome = _decide(u.translate(table), v.translate(table))
         if isinstance(outcome, StRejection):
             return MSEVerdict(
                 kind="rejected",
@@ -123,6 +129,7 @@ def length_filter(f):
     length >= 2, contain at least one non-erased letter, and each of j, k
     must occur somewhere in f(j)f(k).
     """
+    _require_ternary(f)
     erased = [i for i in A3 if f.images[i] == ""]
     if not erased:
         raise ValueError("length_filter expects a morphism erasing a letter")
@@ -180,7 +187,7 @@ def psi(n):
     """Construct psi_n from its table for n <= 2 and the doubling recurrence
     afterwards; the three components are built independently from generator
     products and the projection identities are checked on construction."""
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("psi is defined for n >= 1")
     table = {1: ("01", "20"), 2: ("2010", "01")}
     m = 3

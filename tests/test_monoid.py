@@ -17,27 +17,38 @@ from sturmian_erasures import (
     st_membership,
     sturmian_verdict,
 )
-from sturmian_erasures.monoid import _DECODERS, GENERATORS
+from sturmian_erasures.monoid import GENERATORS, _peel
 from sturmian_erasures.morphisms import E, ID2, PHI, PHIT
 
 from conftest import fib_prefix, perturbed_st_corpus, random_st_member
 
 
-def test_decode_examples():
-    assert _DECODERS["phi"]("010") == "01"
-    assert _DECODERS["phit"]("01") is None
-    assert _DECODERS["phi"]("") == ""
-    assert _DECODERS["phit"]("") == ""
-    assert _DECODERS["phit"]("100") == "01"
-    assert _DECODERS["phi"]("1") is None
+def test_peel_examples():
+    assert _peel("010", "01") == (("phi",), "01", "0")
+    assert _peel("100", "10") == (("phit",), "01", "0")
+    assert _peel("10", "1") == (("E", "phi"), "0", "1")
+    assert _peel("01", "1") == (("E", "phit"), "0", "1")
+    assert _peel("1101", "10") == (("E", "phi"), "101", "0")
+    assert _peel("1011", "01") == (("E", "phit"), "101", "0")
+    assert _peel("", "") == (("phi",), "", "")
+    assert _peel("11", "00") is None
+    assert _peel("0110", "0") is None
 
 
-def test_decode_round_trip():
+def test_peel_round_trip():
+    """A peel off X o g gives back g when X is the first generator that
+    decodes; any peel it takes recomposes to the images it was given."""
     rng = random.Random(37)
-    for code, f in (("phi", PHI), ("phit", PHIT)):
+    for names in (("phi",), ("phit",), ("E", "phi"), ("E", "phit")):
+        x = recompose(StCertificate(names))
         for _ in range(200):
-            w = "".join(rng.choice("01") for _ in range(rng.randrange(30)))
-            assert _DECODERS[code](apply(f, w)) == w
+            g = ["".join(rng.choice("01") for _ in range(rng.randrange(30))) for _ in "01"]
+            images = [apply(x, w) for w in g]
+            peeled, d0, d1 = _peel(*images)
+            y = recompose(StCertificate(peeled))
+            assert [apply(y, d0), apply(y, d1)] == images
+            if peeled == names:
+                assert [d0, d1] == g
 
 
 def test_membership_examples():
@@ -218,10 +229,31 @@ def _binary_words(max_len):
             yield "".join(letters)
 
 
-def test_decoders_match_char_by_char_reference():
-    for w in _binary_words(12):
-        for code, ref in _REF_DECODERS.items():
-            assert _DECODERS[code](w) == ref(w), (w, code)
+def _ref_peel(im0, im1):
+    """The four-decoder peel: phi, phit, then both on the flipped images."""
+    for twist in ((), ("E",)):
+        if twist:
+            im0, im1 = im0.translate(_FLIP), im1.translate(_FLIP)
+        for name, decoder in _REF_DECODERS.items():
+            d0, d1 = decoder(im0), decoder(im1)
+            if d0 is not None and d1 is not None:
+                return twist + (name,), d0, d1
+    return None
+
+
+def test_peel_matches_four_decoder_reference():
+    """The generator read off the images, and its decode, equal those of the
+    first of the four char-by-char decoders that takes both images, on every
+    pair of binary words (empty ones too) of total length <= 12."""
+    words = list(_binary_words(12))
+    count = 0
+    for im0 in words:
+        for im1 in words:
+            if len(im0) + len(im1) > 12:
+                break
+            assert _peel(im0, im1) == _ref_peel(im0, im1), (im0, im1)
+            count += 1
+    assert count == 98_305
 
 
 def test_deterministic_peel_matches_backtracking_search():

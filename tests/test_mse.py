@@ -1,11 +1,14 @@
+import collections
 import itertools
 import random
 
 import pytest
 
 from sturmian_erasures import (
+    MSEVerdict,
     Morphism,
     StCertificate,
+    StRejection,
     apply,
     compose,
     erase,
@@ -20,6 +23,7 @@ from sturmian_erasures import (
     projection_restriction,
     psi,
     recompose,
+    st_membership,
     wse_verdict,
 )
 from sturmian_erasures.morphisms import E0, ID3, PHI1, PHIT1
@@ -60,6 +64,13 @@ def test_projection_restriction_matches_erase_then_recode():
         projection_restriction(EX1_G, "2", "3")
 
 
+@pytest.mark.parametrize("i", ["5", "", "01", 0])
+def test_projection_restriction_checks_the_erased_letter(i):
+    f = parse_morphism("0=01,1=10,2=")
+    with pytest.raises(ValueError, match=f"letter {i!r} outside alphabet 012"):
+        projection_restriction(f, i, "2")
+
+
 def test_membership_erasing_member():
     verdict = mse_membership(EX1_G)
     assert verdict.kind == "erasing-member"
@@ -71,6 +82,44 @@ def test_membership_erasing_member():
         assert recompose(cert) == projection_restriction(EX1_G, "2", j)
     js = verdict.to_json()
     assert js["verdict"] == "erasing-member" and js["erased"] == "2"
+
+
+def _projection_path_membership(f):
+    """The projection path: length_filter, then st_membership on the
+    projection_restriction morphism for each j in 012."""
+    i = next(a for a in "012" if f.images[a] == "")
+    witness = length_filter(f)
+    if witness is not None:
+        return MSEVerdict(kind="rejected", reason="length-filter", witness=witness)
+    certificates = {}
+    for j in "012":
+        outcome = st_membership(projection_restriction(f, i, j))
+        if isinstance(outcome, StRejection):
+            return MSEVerdict(
+                kind="rejected",
+                reason=f"projection-{j}-not-sturmian",
+                witness=f"{outcome.reason}: {outcome.detail}",
+            )
+        certificates[j] = outcome
+    return MSEVerdict(kind="erasing-member", erased=i, certificates=certificates)
+
+
+def test_membership_matches_projection_path_on_erasing_ball():
+    """Every ternary morphism that erases a letter and has images of at most
+    4 letters gets the same verdict (kind, reason, witness, certificates)
+    from mse_membership as from the projection path."""
+    words = ["".join(p) for n in range(5) for p in itertools.product("012", repeat=n)]
+    kinds = collections.Counter()
+    for images in itertools.product(words, repeat=3):
+        if "" not in images:
+            continue
+        f = Morphism(dict(zip("012", images)))
+        verdict = mse_membership(f)
+        assert verdict == _projection_path_membership(f), images
+        kinds[verdict.reason or verdict.kind] += 1
+    assert sum(kinds.values()) == 121**3 - 120**3 == 43_561
+    assert {"erasing-member", "length-filter"} < kinds.keys()
+    assert {f"projection-{j}-not-sturmian" for j in "012"} < kinds.keys()
 
 
 def test_membership_permutations():
@@ -125,6 +174,15 @@ def test_length_filter():
     )
     with pytest.raises(ValueError):
         length_filter(parse_morphism("0=0,1=1,2=2"))
+
+
+@pytest.mark.parametrize(
+    "f", [parse_morphism("0=01,1="), parse_morphism("0=,1=0"), "0=01,1=10,2="]
+)
+def test_length_filter_rejects_a_morphism_not_on_012(f):
+    for decide in (length_filter, mse_membership):
+        with pytest.raises(ValueError, match="^mse_membership expects a morphism on 012$"):
+            decide(f)
 
 
 def test_every_member_passes_length_filter():
@@ -216,6 +274,12 @@ def test_psi_tables():
     assert erase(p3.psi.images["0"], "2") == (PHI1**3).images["0"]
     with pytest.raises(ValueError):
         psi(0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, False, "3", None, -1])
+def test_psi_rejects_anything_but_a_positive_int(n):
+    with pytest.raises(ValueError, match="psi is defined for n >= 1"):
+        psi(n)
 
 
 def test_psi_projection_identities():
