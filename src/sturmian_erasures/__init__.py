@@ -8,7 +8,10 @@ __version__ = "0.1.0"
 
 # The public API: each module and the names the package exports from it.
 _EXPORTS = {
-    "billiard": ("BilliardConfig", "CrossingEvent", "billiard_word", "classify", "event_stream"),
+    "billiard": (
+        "BilliardConfig", "CrossingEvent", "billiard_word", "classify", "event_stream",
+        "mechanical_stream",
+    ),
     "exactnum": ("SqrtBasisNumber", "parse_number", "rational", "sqrt"),
     "monoid": ("StCertificate", "StRejection", "recompose", "st_membership"),
     "morphisms": (
@@ -23,7 +26,7 @@ _EXPORTS = {
         "BalanceProfile", "BoundedOutputError", "ComplexityProfile", "SturmianVerdict",
         "WordStream", "WSEVerdict", "apply_stream", "balance_order", "complexity", "erase",
         "fibonacci_numbers", "fibonacci_stream", "fixed_point_stream", "literal_stream",
-        "mechanical_stream", "sturmian_verdict", "wse_verdict",
+        "sturmian_verdict", "wse_verdict",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,6 +23,7 @@ __all__ = [
     "CrossingEvent",
     "event_stream",
     "billiard_word",
+    "mechanical_stream",
     "classify",
 ]
 
@@ -69,26 +70,19 @@ class CrossingEvent(Record):
         return {"t": str(self.t), "omega": list(self.omega)}
 
 
-def _time_rows(config):
-    """Coordinate i crosses x = m at t = m*x_i - y_i with x_i = 1/d_i and
-    y_i = rho_i/d_i.  Returns ({i: [(key, X, Y), ...]}, den) over the moving
-    coordinates i, where x_i = sum(X*sqrt(key))/den and y_i likewise, with
-    one sorted key list and one den > 0 for every coordinate."""
-    moving = [i for i in range(3) if config.d[i].sign() > 0]
-    xs = [1 / config.d[i] for i in moving]
-    ints, den = _common_scale(*xs, *(config.rho[i] * x for i, x in zip(moving, xs)))
-    keys = sorted(set().union(*ints))
-    rows = {
-        i: [(key, x.get(key, 0), y.get(key, 0)) for key in keys]
-        for i, x, y in zip(moving, ints, ints[len(xs) :])
-    }
-    return rows, den
+def _config_times(config):
+    """{i: (x_i, y_i)}, x_i = 1/d_i and y_i = rho_i/d_i, over the moving i."""
+    xs = {i: 1 / d for i, d in enumerate(config.d) if d.sign() > 0}
+    return {i: (x, config.rho[i] * x) for i, x in xs.items()}
 
 
 class _Crossings:
-    """Enclosures lo[pos] <= 2**k * den * t <= hi[pos] of the time t at which
-    coordinate moving[pos] next crosses x = counters[pos]; each crossing moves
-    them on by steps[pos], the enclosure of x_i.
+    """Coordinate i = moving[pos] crosses x = m at t = m*x_i - y_i from m = 1
+    if y_i else 0, (x_i, y_i) = times[i] with 0 <= y_i <= x_i; table[pos] =
+    [(key, X, Y), ...] over one sorted key list, x_i = sum(X*sqrt(key))/den and
+    y_i likewise.  Enclosures lo[pos] <= 2**k * den * t <= hi[pos] of the time t
+    at which coordinate moving[pos] next crosses x = counters[pos]; each
+    crossing moves them on by steps[pos], the enclosure of x_i.
 
     The coordinates fall into line classes.  In a class every x_i row is a
     positive multiple P*v of one primitive integer row v, and the y_i rows
@@ -101,9 +95,12 @@ class _Crossings:
     crossing, as its t0 is that crossing.  k starts at 64; letters()
     doubles it while an enclosure could reach a quarter of a step."""
 
-    def __init__(self, rows):
-        self.moving, self.table = list(rows), list(rows.values())
-        # Coordinate i first crosses at the least integer m >= rho_i.
+    def __init__(self, times):
+        ints, self.den = _common_scale(*chain(*times.values()))
+        keys = sorted(set().union(*ints))
+        self.moving = list(times)
+        self.table = [[(key, x.get(key, 0), y.get(key, 0)) for key in keys]
+                      for x, y in zip(ints[::2], ints[1::2])]
         self.counters = [1 if any(y for _, _, y in row) else 0 for row in self.table]
         self.lines, self.bases = [], []  # bases: [v, y of the first member, least n]
         for m, row in zip(self.counters, self.table):
@@ -244,8 +241,8 @@ def event_stream(config):
     square roots of distinct square-free keys are independent over Q, so two
     times are equal exactly when their rows are.
     """
-    rows, den = _time_rows(config)
-    crossings = _Crossings(rows)
+    crossings = _Crossings(_config_times(config))
+    rows = dict(zip(crossings.moving, crossings.table))
     ms = {str(i): count(m) for i, m in zip(crossings.moving, crossings.counters)}
 
     def time_row(letter):
@@ -254,7 +251,7 @@ def event_stream(config):
 
     letters = chain.from_iterable(map(crossings.letters, repeat(256)))
     for row, block in groupby(letters, time_row):
-        yield CrossingEvent(t=_make(row, den), omega=tuple(map(int, block)))
+        yield CrossingEvent(t=_make(row, crossings.den), omega=tuple(map(int, block)))
 
 
 def billiard_word(config):
@@ -263,7 +260,47 @@ def billiard_word(config):
     Each event contributes one block: its crossing coordinates in ascending
     order, so simultaneous crossings appear as "01", "02", "12" or "012".
     """
-    return WordStream(source="billiard", pump=_Crossings(_time_rows(config)[0]).letters)
+    return WordStream(source="billiard", pump=_Crossings(_config_times(config)).letters)
+
+
+def mechanical_stream(alpha, rho):
+    """The word s(n) = floor((n+1)a + r) - floor(na + r), n >= 0, for
+    0 < a < 1 and 0 <= r < 1, read off a two-coordinate billiard.
+
+    Swap.  Let b = 1 - a and c = 1 - r.  As (n+1)b + c = n+2 - ((n+1)a + r)
+    and ceil(-x) = -floor(x), u(n) = ceil((n+1)b + c) - ceil(nb + c) is
+    1 - s(n).  And u(n) = 1 exactly when an integer j has nb + c <= j <
+    (n+1)b + c, that is, n = floor((j - c)/b) for some j >= 1 (0 < c <= 1).
+
+    Billiard.  Let d = (a, b, 0), r_0, r_1 in [0, 1], and r'_i = r_i, or 1
+    when r_i = 0: the k-th crossing of coordinate i, k >= 1, is at
+    (k - r'_i)/d_i.  With ties in coordinate order, the k-th 1 of the coding
+    follows k - 1 ones and floor(a*t + r'_0) zeros, t = (k - r'_1)/b, so it
+    is letter k - 1 + floor(a*t + r'_0) = floor((k - c')/b) with
+    c' = b(1 - r'_0) + a*r'_1.  The starts (0, (1-r)/a, 0) for r >= b and
+    (r/b, 0, 0) for 0 < r < b give c' = c, so the coding is u.  No start
+    gives c' = 1, but s = "0" + (the word of a, a) as floor(a) = 0.  Scaled
+    by ab > 0 the times keep their order: coordinate 0 crosses x = m at
+    m*b - r_0*b and coordinate 1 at m*a - r_1*a.
+    """
+    if not isinstance(alpha, SqrtBasisNumber) or not isinstance(rho, SqrtBasisNumber):
+        raise ValueError("alpha and rho must be SqrtBasisNumber values")
+    if not (alpha.sign() > 0 and (alpha - 1).sign() < 0):
+        raise ValueError("alpha must satisfy 0 < alpha < 1")
+    if not (rho.sign() >= 0 and (rho - 1).sign() < 0):
+        raise ValueError("rho must satisfy 0 <= rho < 1")
+    head, rho = ("", rho) if rho.sign() else ("0", alpha)
+    beta, zero = 1 - alpha, rational(0)
+    y0, y1 = (rho, zero) if (rho - beta).sign() < 0 else (zero, 1 - rho)
+    crossings = _Crossings({0: (beta, y0), 1: (alpha, y1)})
+    swap = str.maketrans("01", "10")
+
+    def pump(need):
+        nonlocal head
+        out, head = head + crossings.letters(need).translate(swap), ""
+        return out
+
+    return WordStream(pump, "mechanical")
 
 
 def classify(config):

@@ -31,7 +31,6 @@ __all__ = [
     "fibonacci_numbers",
     "fibonacci_stream",
     "fixed_point_stream",
-    "mechanical_stream",
     "apply_stream",
     "literal_stream",
     "complexity",
@@ -150,45 +149,6 @@ def fixed_point_stream(f, seed):
 def fibonacci_stream():
     """Fixed point of 0 -> 01, 1 -> 0."""
     return fixed_point_stream(PHI, "0")
-
-
-def mechanical_stream(alpha, rho):
-    """The word s(n) = floor((n+1)a + r) - floor(na + r), exact arithmetic."""
-    from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _floor_of
-
-    if not isinstance(alpha, SqrtBasisNumber) or not isinstance(rho, SqrtBasisNumber):
-        raise ValueError("alpha and rho must be SqrtBasisNumber values")
-    if not (alpha.sign() > 0 and (alpha - 1).sign() < 0):
-        raise ValueError("alpha must satisfy 0 < alpha < 1")
-    if not (rho.sign() >= 0 and (rho - 1).sign() < 0):
-        raise ValueError("rho must satisfy 0 <= rho < 1")
-
-    # With den*alpha and den*rho integer vectors enclosed as
-    # [lo, hi] / 2**64, n*alpha + rho lies in [n*lo_a + lo_r, n*hi_a + hi_r]
-    # / unit; when both ends share a floor it is the exact one.  Rational
-    # inputs have lo == hi, so only an irrational value near an integer
-    # falls back to the exact floor.
-    (a, r), den = _common_scale(alpha, rho)
-    lo_a, hi_a = _enclose(a, 64)
-    lo_r, hi_r = _enclose(r, 64)
-    unit = den << 64
-    keys = a.keys() | r.keys()
-    n = fl = 0
-
-    def pump(need):
-        # 0 < alpha < 1, so each step raises the floor by 0 or 1.
-        nonlocal n, fl
-        out = []
-        for _ in range(max(need, 64)):
-            n += 1
-            f = (n * lo_a + lo_r) // unit
-            if f != (n * hi_a + hi_r) // unit:
-                f = _floor_of({b: n * a.get(b, 0) + r.get(b, 0) for b in keys}, den)
-            out.append("1" if f > fl else "0")
-            fl = f
-        return "".join(out)
-
-    return WordStream(pump, "mechanical")
 
 
 _PULL_FACTOR = 64

@@ -21,7 +21,7 @@ from sturmian_erasures import (
     sturmian_verdict,
     wse_verdict,
 )
-from sturmian_erasures.billiard import _Crossings, _time_rows
+from sturmian_erasures.billiard import _config_times, _Crossings
 from sturmian_erasures.exactnum import _make, _sign_of
 
 THETA = parse_number("(1+sqrt(5))/2")
@@ -121,13 +121,13 @@ def _exact_step(crossings):
 def _step_events(config, count):
     """The events of _exact_step, one exactly ordered event at a time, apart
     from the batched merge; each is timed at its first coordinate's crossing."""
-    rows, den = _time_rows(config)
-    crossings = _Crossings(rows)
+    crossings = _Crossings(_config_times(config))
+    rows = dict(zip(crossings.moving, crossings.table))
     for _ in range(count):
         block = _exact_step(crossings)
         i = int(block[0])
         m = crossings.counters[crossings.moving.index(i)] - 1
-        t = _make({key: m * x - y for key, x, y in rows[i]}, den)
+        t = _make({key: m * x - y for key, x, y in rows[i]}, crossings.den)
         yield CrossingEvent(t=t, omega=tuple(map(int, block)))
 
 
@@ -184,7 +184,7 @@ def test_wide_enclosures_match_exact_events(config):
 @pytest.mark.parametrize("config", WIDE_CONFIGS)
 def test_wide_batches_commit_hundreds_of_letters(config):
     # The precision follows the rows, so no batch shrinks to a single event.
-    crossings = _Crossings(_time_rows(config)[0])
+    crossings = _Crossings(_config_times(config))
     for _ in range(60):
         assert len(crossings.letters(256)) >= 200
 
@@ -268,7 +268,7 @@ def test_advanced_enclosures_match_reference_far_out(config):
 
 
 def _line_split(config):
-    crossings = _Crossings(_time_rows(config)[0])
+    crossings = _Crossings(_config_times(config))
     split = {}
     for i, (cls, _, _) in zip(crossings.moving, crossings.lines):
         split.setdefault(cls, []).append(i)
@@ -288,7 +288,7 @@ def test_line_class_split():
 def test_line_order_matches_exact_sign(config):
     # Second method: on one line, the sign of n_a - n_b is the exact sign of
     # the difference of the two time rows, and the enclosures hold the time.
-    crossings = _Crossings(_time_rows(config)[0])
+    crossings = _Crossings(_config_times(config))
     table, lines, counters = crossings.table, crossings.lines, crossings.counters
     for a, b in itertools.product(range(len(table)), repeat=2):
         if lines[a][0] != lines[b][0]:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from operator import sub
@@ -29,6 +31,7 @@ from sturmian_erasures import (
     sturmian_verdict,
     wse_verdict,
 )
+import sturmian_erasures.exactnum as exactnum
 import sturmian_erasures.words as words_module
 from sturmian_erasures.morphisms import ID2, PHI, Morphism, compose
 
@@ -246,14 +249,65 @@ def test_mechanical_rational_floor_formula(p, q, u):
     )
 
 
+def _floor_word(alpha, rho, length):
+    """s(n) = floor((n+1)alpha + rho) - floor(n*alpha + rho), one exact floor
+    per letter: the reference for mechanical_stream."""
+    floors = [(alpha * n + rho).floor() for n in range(length + 1)]
+    return "".join(str(b - a) for a, b in zip(floors, floors[1:]))
+
+
+def _mechanical_corpus(seed, count):
+    """Seeded (alpha, rho): rational p/q with q <= 40 and quadratic
+    (sqrt(d) - a)/q, from rho in 0, alpha, 1 - alpha, u/q and -k*alpha mod 1.
+    rho = 0, 1 - alpha and -k*alpha mod 1 make n*alpha + rho an exact
+    integer at n = 0, 1 and k: a tie even for an irrational slope."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.randrange(2):
+            q = rng.randint(2, 40)
+            alpha = rational(rng.randint(1, q - 1)) / q
+        else:
+            d, q = rng.choice([2, 3, 5, 6, 7, 10, 11, 13, 19]), rng.randint(1, 5)
+            root = math.isqrt(d)
+            alpha = (sqrt(d) - rng.randint(root - q + 1, root)) / q
+        q = rng.randint(1, 40)
+        shifted = alpha * -rng.randint(1, 30)
+        yield alpha, rng.choice([
+            rational(0), alpha, 1 - alpha, rational(rng.randrange(q)) / q,
+            shifted - shifted.floor(),
+        ])
+
+
 @pytest.mark.parametrize("rho", ["8-5*sqrt(2)", "sqrt(2)/2", "0"])
 def test_mechanical_matches_exact_floors(rho):
-    # With rho = 8 - 5*sqrt(2), 5*alpha + rho is exactly the integer 3, so the
-    # enclosure straddles it and the exact floor decides.
+    # With rho = 8 - 5*sqrt(2), 5*alpha + rho is exactly the integer 3.
     alpha, rho = parse_number("sqrt(2)-1"), parse_number(rho)
-    w = mechanical_stream(alpha, rho).prefix(300)
-    floors = [(alpha * n + rho).floor() for n in range(301)]
-    assert w == "".join(str(b - a) for a, b in zip(floors, floors[1:]))
+    assert mechanical_stream(alpha, rho).prefix(300) == _floor_word(alpha, rho, 300)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mechanical_matches_exact_floors_on_a_seeded_corpus(seed):
+    # Two reads, so a later pump resumes where an earlier one stopped.
+    rng = random.Random(seed)
+    for alpha, rho in _mechanical_corpus(seed, 100):
+        stream, expected = mechanical_stream(alpha, rho), _floor_word(alpha, rho, 400)
+        short = rng.randrange(400)
+        assert stream.prefix(short) == expected[:short], (alpha, rho)
+        assert stream.prefix(400) == expected, (alpha, rho)
+
+
+def test_mechanical_tiny_slope_takes_no_exact_floor_per_letter(monkeypatch):
+    # alpha is about 2e-28, and its 64-bit enclosure has a negative lower
+    # end, so deciding each letter by enclosing n*alpha took an exact floor.
+    alpha = parse_number("sqrt(2)-1414213562373095048801688724/1000000000000000000000000000")
+    expected = _floor_word(alpha, rational(0), 20000)
+    floors = []
+    floor_of = exactnum._floor_of
+    monkeypatch.setattr(exactnum, "_floor_of", lambda *a: floors.append(a) or floor_of(*a))
+    start = time.perf_counter()
+    assert mechanical_stream(alpha, rational(0)).prefix(20000) == expected
+    assert time.perf_counter() - start < 1
+    assert len(floors) < 100
 
 
 def test_mechanical_irrational_complexity():
