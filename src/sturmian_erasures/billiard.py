@@ -92,8 +92,13 @@ class _Crossings:
     enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
     two crossings are equal exactly when their n are, and then so are their
     lower bounds.  A class of one keeps the tight enclosure of its first
-    crossing, as its t0 is that crossing.  k starts at 64; letters()
-    doubles it while an enclosure could reach a quarter of a step."""
+    crossing, as its t0 is that crossing.  The widths hi - lo and w - s
+    do not depend on k, and steps grow as 2**k: a 64-bit reading of the
+    shortest step s sets k, the least k >= 1 with 2**(k-64)*s >= max(4*(W
+    + 2), W << 20) for W = width().  letters() still doubles k >= 1
+    while 4*(W + 1) > s, so each batch starts from 4*(W + 1) <= s, and
+    its proofs that no cluster holds two crossings of one coordinate
+    and that every batch commits need no more."""
 
     def __init__(self, times):
         ints, self.den = _common_scale(*chain(*times.values()))
@@ -121,6 +126,12 @@ class _Crossings:
         # Shift each class's n so that its earliest first crossing has n = 0.
         self.lines = [(cls, p, c + self.bases[cls][2]) for cls, p, c in self.lines]
         self._enclose_at(64)
+        need = max(4 * (self.width() + 2), self.width() << 20) << 64
+        self._enclose_at(max(1, (-(-need // min(s for s, _ in self.steps)) - 1).bit_length()))
+
+    def width(self):
+        """The widest enclosure, grown by the 4112 steps a batch can add."""
+        return max(h - l + 4112 * (w - s) for l, h, (s, w) in zip(self.lo, self.hi, self.steps))
 
     def _enclose_at(self, k):
         """Enclose the next crossings at precision 2**k, each member of a
@@ -158,11 +169,11 @@ class _Crossings:
             for (key, xa, ya), (_, xb, yb) in zip(self.table[a], self.table[b])
         })
 
-    def _exact(self, u, v):
-        """compare() on two tagged lower bounds; ties by coordinate."""
+    def _exact(self, u, v, base):
+        """compare() on two lower bounds tagged from base; ties by coordinate."""
         a, b = self.moving.index((u & 63) - 48), self.moving.index((v & 63) - 48)
-        ja = ((u >> 6) - self.lo[a]) // self.steps[a][0]
-        jb = ((v >> 6) - self.lo[b]) // self.steps[b][0]
+        ja = ((u >> 6) + base - self.lo[a]) // self.steps[a][0]
+        jb = ((v >> 6) + base - self.lo[b]) // self.steps[b][0]
         return self.compare(a, ja, b, jb) or a - b
 
     def advance(self, pos, count):
@@ -176,8 +187,9 @@ class _Crossings:
 
         Each coordinate's lower bounds form a progression.  Below a horizon
         c it adds its crossings and one sentinel at or past c, each tagged
-        64*lo + ord(letter), and one sort merges them.  With W the widest
-        enclosure, bounds more than W apart are in certain order and runs
+        64*(lo - base) + ord(letter), base the least lower bound (a shift
+        of 64*lo + ord(letter), so order and gaps are kept), and one sort
+        merges them.  With W the widest enclosure, bounds more than W apart are in certain order and runs
         of closer ones (clusters) are re-sorted exactly.  Two neighbours
         with equal lower bounds on one line are an exact tie, which the
         sort already put in coordinate order, so they are not compared.
@@ -189,22 +201,24 @@ class _Crossings:
         give 4*(W + 1) <= s.  Linked neighbours lie at most W + 1 apart, so
         no cluster holds two crossings of one coordinate or spans over half
         a step: the first sentinel's cluster never reaches the least lower
-        bound, and every batch commits.
+        bound, and every batch commits.  Tags stay under 64*(S + 4112*s),
+        S the longest step, a bound set by k alone: a sentinel at or past c
+        lies under c + S, and any other is a next lower bound, under base +
+        S + 2*W as the crossing before it is committed or before 0; and
+        c - base < 4112*s, 4*W < s.
         """
-        while 4 * max(
-            h - l + 4112 * (w - s) + 1 for l, h, (s, w) in zip(self.lo, self.hi, self.steps)
-        ) > min(s for s, _ in self.steps):
+        while 4 * (self.width() + 1) > min(s for s, _ in self.steps):
             self._enclose_at(2 * self.k)
         lo, hi, steps = self.lo, self.hi, self.steps
-        top = max(s for s, _ in steps) << 8
-        c = min(lo) + min(max(need, 256), 4096) * top // sum(top // s for s, _ in steps)
+        base, top = min(lo), max(s for s, _ in steps) << 8
+        c = min(max(need, 256), 4096) * top // sum(top // s for s, _ in steps)
         ranges, sentinels, width = [], [], 0
         for pos, i in enumerate(self.moving):
-            (s, w), first = steps[pos], lo[pos]
+            (s, w), first = steps[pos], lo[pos] - base
             k = max(0, -((first - c) // s))  # crossings with lower bound below c
             sentinels.append(64 * (first + k * s) + 48 + i)
             ranges.append(range(64 * first + 48 + i, sentinels[-1] + 1, 64 * s))
-            width = max(width, hi[pos] - first + k * (w - s))
+            width = max(width, hi[pos] - lo[pos] + k * (w - s))
         merged = sorted(chain(*ranges))
         end = bisect_left(merged, min(sentinels))
         # A tagged gap above 64W + 63 is a gap above W between lower
@@ -219,7 +233,7 @@ class _Crossings:
                 u, v = merged[at], merged[at + 1]
                 if u >> 6 == v >> 6 and line[u & 63] == line[v & 63]:
                     break  # a tie on one line, already in coordinate order
-                if self._exact(u, v) < 0:
+                if self._exact(u, v, base) < 0:
                     break
                 merged[at], merged[at + 1] = v, u
                 at -= 1

@@ -21,6 +21,7 @@ from sturmian_erasures import (
     sturmian_verdict,
     wse_verdict,
 )
+import sturmian_erasures.billiard as billiard_module
 from sturmian_erasures.billiard import _config_times, _Crossings
 from sturmian_erasures.exactnum import _make, _sign_of
 
@@ -155,7 +156,7 @@ def test_batched_word_matches_exact_events(config):
 
 def _wide_start(exponent, radicand):
     """frac(2**exponent * sqrt(radicand)): a start in [0, 1) whose integer
-    coefficients make its 64-bit enclosure a sizeable share of a step."""
+    coefficients make its enclosure at 64 bits a sizeable share of a step."""
     x = 2**exponent * sqrt(radicand)
     return x - x.floor()
 
@@ -163,13 +164,13 @@ def _wide_start(exponent, radicand):
 U21, U24 = ((rational(1) + sqrt(2)) ** power for power in (21, 24))
 WIDE_CONFIGS = [
     # x_i = 1/d_i has integer coefficients far larger than its value, so at
-    # 64 bits its enclosure widens by one step every 4,400 crossings (U21)
-    # or every 22 (U24), and the batches must raise the precision.
+    # 64 bits its enclosure would widen by one step every 4,400 crossings
+    # (U21) or every 22 (U24): the precision rule starts above 64 bits.
     BilliardConfig(d=(0, U21, U21 * sqrt(2)), rho=(0, 0, 0)),
     BilliardConfig(d=(1, U21, U21 * sqrt(3)), rho=(0, parse_number("1/3"), sqrt(2) - 1)),
     BilliardConfig(d=(0, U24, U24 * sqrt(2)), rho=(0, 0, 0)),
-    # Starts whose 64-bit enclosures are a quarter to a half step wide, so
-    # the first batch raises the precision.
+    # Starts whose enclosures at 64 bits are a quarter to a half step wide,
+    # so the precision rule starts above 64 bits.
     BilliardConfig(d=(1, sqrt(2), sqrt(3)), rho=(_wide_start(62, 2), 0, 0)),
     BilliardConfig(d=(2, 2, 2 * sqrt(2)), rho=(_wide_start(62, 3), 0, _wide_start(62, 3))),
 ]
@@ -306,10 +307,97 @@ def test_line_order_matches_exact_sign(config):
     for pos, row in enumerate(table):
         (s, w), m = crossings.steps[pos], counters[pos]
         for j in range(41):
-            scaled = {key: (m + j) * x - y << 64 for key, x, y in row}
+            scaled = {key: (m + j) * x - y << crossings.k for key, x, y in row}
             lo, hi = crossings.lo[pos] + j * s, crossings.hi[pos] + j * w
             assert _sign_of({**scaled, 1: scaled.get(1, 0) - lo}) >= 0
             assert _sign_of({**scaled, 1: scaled.get(1, 0) - hi}) <= 0
+
+
+# Rational directions from rational starts: every enclosure is exact.
+RATIONAL_CONFIGS = [
+    _config(["3", "5", "7"], ["0", "1/2", "1/3"]),
+    _config(["2", "3", "4"], ["0", "1/3", "0"]),
+    _config(["5", "8", "0"], ["1/13", "0", "0"]),
+]
+RULE_CONFIGS = LINE_CONFIGS + EQUIVALENCE_CONFIGS + WIDE_CONFIGS + [OFF_LINE] + RATIONAL_CONFIGS
+# _fallbacks(config, 20_000) when every stream started at 64 bits, as
+# before the precision rule; OFF_LINE's crossings 10**-24 apart overlap at
+# any precision.
+FALLBACKS_AT_64_BITS = [
+    1, 2, 1, 1, 1, 0, 0,
+    0, 0, 0, 2, 0, 1, 0, 0, 1, 0, 0, 1, 2, 0,
+    1, 0, 1, 1, 0,
+    5405,
+    0, 0, 0,
+]
+
+
+def _fallbacks(config, length):
+    """Calls to compare in the first length letters that the enclosures
+    leave open, so that they take the exact test."""
+    crossings = _Crossings(_config_times(config))
+    compare, fallbacks = crossings.compare, []
+
+    def counted(a, ja, b, jb):
+        (sa, wa), (sb, wb) = crossings.steps[a], crossings.steps[b]
+        lo_a, hi_a = crossings.lo[a] + ja * sa, crossings.hi[a] + ja * wa
+        lo_b, hi_b = crossings.lo[b] + jb * sb, crossings.hi[b] + jb * wb
+        if lo_a <= hi_b and lo_b <= hi_a:
+            fallbacks.append((a, b))
+        return compare(a, ja, b, jb)
+
+    crossings.compare = counted
+    done = 0
+    while done < length:
+        done += len(crossings.letters(256))
+    return len(fallbacks)
+
+
+@pytest.mark.parametrize("config", RULE_CONFIGS)
+def test_precision_rule_picks_the_least_k_with_the_margin(config):
+    crossings = _Crossings(_config_times(config))
+    k, width = crossings.k, crossings.width()
+    at_64 = _Crossings(_config_times(config))
+    at_64._enclose_at(64)
+    s = min(s for s, _ in at_64.steps)
+    # The widths do not depend on k; the rule scales the 64-bit shortest step.
+    assert at_64.width() == width
+    need = max(4 * (width + 2), width << 20)
+    assert s << k >= need << 64
+    assert k == 1 or s << (k - 1) < need << 64
+    # The quarter-step certificate holds at k, so the first batch keeps it.
+    assert 4 * (width + 1) <= min(s for s, _ in crossings.steps)
+    crossings.letters(256)
+    assert crossings.k == k
+    if all(x.is_rational() for x in config.d + config.rho):
+        assert width == 0 and k <= 4
+
+
+@pytest.mark.parametrize(
+    "config, parent", zip(RULE_CONFIGS, FALLBACKS_AT_64_BITS), ids=range(len(RULE_CONFIGS))
+)
+def test_precision_rule_adds_no_exact_fallbacks(config, parent):
+    assert _fallbacks(config, 20_000) <= parent
+
+
+def test_batch_tags_stay_under_a_bound_set_by_k(monkeypatch):
+    tops = []
+
+    def recording_sorted(tags):
+        merged = sorted(tags)
+        tops.append(merged[-1])
+        return merged
+
+    monkeypatch.setattr(billiard_module, "sorted", recording_sorted, raising=False)
+    crossings = _Crossings(_config_times(_config(["1", "sqrt(2)", "sqrt(3)"], ["1/3", "1/5", "1/7"])))
+    k = crossings.k
+    bound = 64 * (max(s for s, _ in crossings.steps) + 4112 * min(s for s, _ in crossings.steps))
+    done = len(crossings.letters(256))
+    assert tops[-1] < bound
+    while done < 10**6:
+        done += len(crossings.letters(4096))
+    crossings.letters(4096)
+    assert crossings.k == k and max(tops) < bound
 
 
 def test_tie_config_fuses_events():
