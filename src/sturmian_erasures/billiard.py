@@ -91,14 +91,16 @@ class _Crossings:
     integer; lines[pos] = (class, P, C).  Members enclose their times as
     enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
     two crossings are equal exactly when their n are, and then so are their
-    lower bounds.  A class of one keeps the tight enclosure of its first
-    crossing, as its t0 is that crossing.  The widths hi - lo and w - s
-    do not depend on k, and steps grow as 2**k: a 64-bit reading of the
-    shortest step s sets k, the least k >= 1 with 2**(k-64)*s >= max(4*(W
-    + 2), W << 20) for W = width().  letters() still doubles k >= 1
-    while 4*(W + 1) > s, so each batch starts from 4*(W + 1) <= s, and
-    its proofs that no cluster holds two crossings of one coordinate
-    and that every batch commits need no more."""
+    lower bounds, so letters() passes such ties by; _exact, the sign of a
+    time-row difference, is the only exact order test.  A class of one
+    keeps the tight enclosure of its first crossing, as its t0 is that
+    crossing.  The widths hi - lo and w - s do not depend on k, and steps
+    grow as 2**k: a 64-bit reading of the shortest step s sets k, the
+    least k >= 1 with 2**(k-64)*s >= max(4*(W + 2), W << 20) for W =
+    width().  letters() still doubles k >= 1 while 4*(W + 1) > s, so each
+    batch starts from 4*(W + 1) <= s, and its proofs that no cluster holds
+    two crossings of one coordinate and that every batch commits need no
+    more."""
 
     def __init__(self, times):
         ints, self.den = _common_scale(*chain(*times.values()))
@@ -150,36 +152,17 @@ class _Crossings:
             self.lo.append(ts + n * vs)
             self.hi.append(tw + n * vw)
 
-    def compare(self, a, ja, b, jb):
-        """Sign of t_a - t_b for the crossings ja and jb after the next ones of
-        the coordinates at positions a and b, exact where enclosures overlap:
-        on one line by the integers n, across lines by the rows."""
-        (sa, wa), (sb, wb) = self.steps[a], self.steps[b]
-        if self.lo[a] + ja * sa > self.hi[b] + jb * wb:
-            return 1
-        if self.hi[a] + ja * wa < self.lo[b] + jb * sb:
-            return -1
-        ma, mb = self.counters[a] + ja, self.counters[b] + jb
-        (ka, pa, ca), (kb, pb, cb) = self.lines[a], self.lines[b]
-        if ka == kb:
-            na, nb = ma * pa - ca, mb * pb - cb
-            return (na > nb) - (na < nb)
+    def _exact(self, u, v, base):
+        """The exact order of two crossings tagged from base: the sign of the
+        difference of their integer time rows, ties in coordinate order.  It
+        is the only exact order test."""
+        a, b = self.moving.index((u & 63) - 48), self.moving.index((v & 63) - 48)
+        ma = self.counters[a] + ((u >> 6) + base - self.lo[a]) // self.steps[a][0]
+        mb = self.counters[b] + ((v >> 6) + base - self.lo[b]) // self.steps[b][0]
         return _sign_of({
             key: ma * xa - ya - mb * xb + yb
             for (key, xa, ya), (_, xb, yb) in zip(self.table[a], self.table[b])
-        })
-
-    def _exact(self, u, v, base):
-        """compare() on two lower bounds tagged from base; ties by coordinate."""
-        a, b = self.moving.index((u & 63) - 48), self.moving.index((v & 63) - 48)
-        ja = ((u >> 6) + base - self.lo[a]) // self.steps[a][0]
-        jb = ((v >> 6) + base - self.lo[b]) // self.steps[b][0]
-        return self.compare(a, ja, b, jb) or a - b
-
-    def advance(self, pos, count):
-        self.counters[pos] += count
-        self.lo[pos] += count * self.steps[pos][0]
-        self.hi[pos] += count * self.steps[pos][1]
+        }) or a - b
 
     def letters(self, need):
         """The letters of the next events: about max(need, 256) of them, at
@@ -189,8 +172,9 @@ class _Crossings:
         c it adds its crossings and one sentinel at or past c, each tagged
         64*(lo - base) + ord(letter), base the least lower bound (a shift
         of 64*lo + ord(letter), so order and gaps are kept), and one sort
-        merges them.  With W the widest enclosure, bounds more than W apart are in certain order and runs
-        of closer ones (clusters) are re-sorted exactly.  Two neighbours
+        merges them.  With W the widest enclosure, bounds more than W apart
+        are in certain order, and runs of closer ones (clusters) are
+        re-sorted by _exact, the only exact order test.  Two neighbours
         with equal lower bounds on one line are an exact tie, which the
         sort already put in coordinate order, so they are not compared.
         What precedes the first sentinel's cluster is committed.
@@ -239,7 +223,10 @@ class _Crossings:
                 at -= 1
         word = bytes(map(and_, merged[:end], repeat(63))).decode()
         for pos, i in enumerate(self.moving):
-            self.advance(pos, word.count(str(i)))
+            n = word.count(str(i))
+            self.counters[pos] += n
+            lo[pos] += n * steps[pos][0]
+            hi[pos] += n * steps[pos][1]
         return word
 
 

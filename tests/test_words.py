@@ -65,6 +65,10 @@ def test_erase_properties():
 
 def test_fibonacci_numbers():
     assert fibonacci_numbers(8) == [0, 1, 1, 2, 3, 5, 8, 13]
+    assert fibonacci_numbers(0) == [] and fibonacci_numbers(1) == [0]
+    for count in (-1, -2):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            fibonacci_numbers(count)
     u = fibonacci_numbers(22)
     for n in range(1, 21):
         assert u[n + 1] * u[n - 1] - u[n] * u[n] == (-1) ** n
