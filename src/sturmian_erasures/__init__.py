@@ -7,6 +7,7 @@ loads none of its modules, and a program pays only for the modules it uses.
 __version__ = "0.1.0"
 
 # The public API: each module and the names the package exports from it.
+# Each module's __all__ is its entry here, so every public name is listed once.
 _EXPORTS = {
     "billiard": (
         "BilliardConfig", "CrossingEvent", "billiard_word", "classify", "event_stream",
@@ -19,8 +20,8 @@ _EXPORTS = {
         "compose", "determinant", "format_morphism", "incidence", "is_unit", "parse_morphism",
     ),
     "mse": (
-        "MSEVerdict", "PrimalityVerdict", "PsiFamily", "intercalate", "length_filter",
-        "mse_membership", "primality", "projection_restriction", "psi",
+        "MSEVerdict", "PrimalityVerdict", "PsiFamily", "intercalate", "mse_membership",
+        "primality", "psi",
     ),
     "words": (
         "BalanceProfile", "BoundedOutputError", "ComplexityProfile", "SturmianVerdict",

@@ -14,18 +14,12 @@ from bisect import bisect_left
 from itertools import chain, compress, count, groupby, repeat
 from operator import and_, sub
 
+from . import _EXPORTS
 from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _make, _sign_of, rational
 from .records import Record
 from .words import WordStream
 
-__all__ = [
-    "BilliardConfig",
-    "CrossingEvent",
-    "event_stream",
-    "billiard_word",
-    "mechanical_stream",
-    "classify",
-]
+__all__ = _EXPORTS["billiard"]
 
 
 def _coerce(x):

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit status: 0 when the analysis accepts (or simply reports), 1 when a
-verdict refutes or rejects, 2 on usage or input errors.  Words are read from
-the positional argument, from --file, or from standard input.  Generated
-prefixes and morphism images are at most MAX_LENGTH (10^7) letters long, and
-`analyze` refuses an input longer than its --length.
+verdict refutes or rejects, 2 on usage or input errors; a closed stdout, or a
+reader that closes it early, changes neither the exit code nor stderr.  Words
+are read from the positional argument, from --file, or from standard input.
+Generated prefixes and morphism images are at most MAX_LENGTH (10^7) letters
+long, and `analyze` refuses an input longer than its --length.
 
 Every command is one handler in COMMANDS.  A handler returns
 (exit code, JSON payload, text lines, CSV rows or None), and `_emit` prints
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -32,7 +34,7 @@ DEFAULT_MAX_N = 30
 MAX_LENGTH = 10_000_000
 
 
-def _emit(fmt, code, payload, lines, rows):
+def _emit(fmt, payload, lines, rows):
     """Print one view of a result; commands without a CSV view print text."""
     if fmt == "json":
         import json
@@ -54,7 +56,6 @@ def _emit(fmt, code, payload, lines, rows):
     else:
         for line in lines:
             print(line)
-    return code
 
 
 def _read_word(args, keep=sys.maxsize):
@@ -394,13 +395,25 @@ def run(argv=None):
     # The except tuple is built only once the handler has raised, so reading
     # lib.BoundedOutputError there loads words on that path alone.
     try:
-        return _emit(args.format, *args.handler(args))
+        code, *view = args.handler(args)
+        try:
+            _emit(args.format, *view)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout: what it read stands.  Point fd 1 at
+            # devnull, so the flush at exit writes nowhere instead of failing.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except (ValueError, lib.BoundedOutputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main():
+    if sys.stdout is None:  # started with fd 1 closed, as by `wse ... >&-`
+        sys.stdout = open(os.devnull, "w")
     raise SystemExit(run())
 
 

@@ -14,7 +14,9 @@ import math
 import operator
 from fractions import Fraction
 
-__all__ = ["SqrtBasisNumber", "rational", "sqrt", "parse_number"]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["exactnum"]
 
 # parse_number rejects larger sqrt arguments: trial division of n takes about
 # sqrt(n)/2 steps, a fraction of a second at this bound.

@@ -15,15 +15,11 @@ from __future__ import annotations
 
 from functools import reduce
 
+from . import _EXPORTS
 from .morphisms import E, ID2, PHI, PHIT, Morphism, compose
 from .records import Record
 
-__all__ = [
-    "StCertificate",
-    "StRejection",
-    "st_membership",
-    "recompose",
-]
+__all__ = _EXPORTS["monoid"]
 
 GENERATORS = {"E": E, "phi": PHI, "phit": PHIT}
 

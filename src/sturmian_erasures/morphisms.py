@@ -4,36 +4,14 @@ classification."""
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .records import Record
 
 
 A2 = "01"
 A3 = "012"
 
-__all__ = [
-    "Morphism",
-    "IncidenceMatrix",
-    "LetterClassification",
-    "apply",
-    "compose",
-    "incidence",
-    "determinant",
-    "classify_letters",
-    "is_unit",
-    "parse_morphism",
-    "format_morphism",
-    "E",
-    "PHI",
-    "PHIT",
-    "E0",
-    "E1",
-    "E2",
-    "PHI1",
-    "PHIT1",
-    "PI2",
-    "ID2",
-    "ID3",
-]
+__all__ = _EXPORTS["morphisms"]
 
 
 class Morphism:

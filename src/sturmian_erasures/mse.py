@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 
+from . import _EXPORTS
 from .monoid import StRejection, _decide
 from .morphisms import (
     A3,
@@ -27,17 +28,7 @@ from .morphisms import (
 )
 from .records import Record
 
-__all__ = [
-    "MSEVerdict",
-    "PsiFamily",
-    "PrimalityVerdict",
-    "mse_membership",
-    "length_filter",
-    "intercalate",
-    "psi",
-    "primality",
-    "projection_restriction",
-]
+__all__ = _EXPORTS["mse"]
 
 
 class MSEVerdict(Record):
@@ -75,26 +66,32 @@ class MSEVerdict(Record):
 _RECODE = {j: str.maketrans(A3.replace(j, ""), "01", j) for j in A3}
 
 
-def projection_restriction(f, i, j):
-    """Erase j from the images of f, restrict the domain to A3 minus i, and
-    recode both sides order-preservingly to {0,1}."""
-    for letter in (i, j):
-        if letter not in _RECODE:
-            raise ValueError(f"letter {letter!r} outside alphabet 012")
-    table = _RECODE[j]
-    return Morphism(
-        {str(pos): f.images[a].translate(table) for pos, a in enumerate(A3.replace(i, ""))}
-    )
+def _length_witness(others, u, v):
+    """Necessary conditions for an erasing member: None on pass, else a witness.
 
-
-def _require_ternary(f):
-    if not isinstance(f, Morphism) or f.domain != A3:
-        raise ValueError("mse_membership expects a morphism on 012")
+    With u, v the images of the two letters in `others` (the letters not
+    erased), each of u, v must have length >= 2 and contain at least one
+    letter of `others`, and each letter of `others` must occur in uv.
+    """
+    for a, image in zip(others, (u, v)):
+        if len(image) < 2:
+            return f"|f({a})| = {len(image)} < 2"
+        if not any(b in image for b in others):
+            return f"f({a}) = {image!r} has no surviving letter"
+    for a in others:
+        if a not in u + v:
+            return f"letter {a} never occurs in the images"
+    return None
 
 
 def mse_membership(f):
-    """Decide membership among erasure-preserving ternary morphisms."""
-    _require_ternary(f)
+    """Decide membership among erasure-preserving ternary morphisms.
+
+    A morphism erasing a letter i meets the length conditions first; only
+    one that passes them gets the three projected St decisions.
+    """
+    if not isinstance(f, Morphism) or f.domain != A3:
+        raise ValueError("mse_membership expects a morphism on 012")
     if sorted(f.images.values()) == ["0", "1", "2"]:
         return MSEVerdict(kind="permutation")
     erased = [i for i in A3 if f.images[i] == ""]
@@ -105,11 +102,13 @@ def mse_membership(f):
             witness="members either permute 012 or erase a letter",
         )
     i = erased[0]
-    filt = length_filter(f)
-    if filt is not None:
-        return MSEVerdict(kind="rejected", reason="length-filter", witness=filt)
-    u, v = (f.images[a] for a in A3 if a != i)  # projection_restriction recodes these
+    others = A3.replace(i, "")
+    u, v = (f.images[a] for a in others)
+    witness = _length_witness(others, u, v)
+    if witness is not None:
+        return MSEVerdict(kind="rejected", reason="length-filter", witness=witness)
     certificates = {}
+    # The projection erasing j: u and v with j deleted, recoded to 01.
     for j, table in _RECODE.items():
         outcome = _decide(u.translate(table), v.translate(table))
         if isinstance(outcome, StRejection):
@@ -120,31 +119,6 @@ def mse_membership(f):
             )
         certificates[j] = outcome
     return MSEVerdict(kind="erasing-member", erased=i, certificates=certificates)
-
-
-def length_filter(f):
-    """Necessary conditions for an erasing member: None on pass, else a witness.
-
-    With i erased and {j,k} the other letters, each of f(j), f(k) must have
-    length >= 2, contain at least one non-erased letter, and each of j, k
-    must occur somewhere in f(j)f(k).
-    """
-    _require_ternary(f)
-    erased = [i for i in A3 if f.images[i] == ""]
-    if not erased:
-        raise ValueError("length_filter expects a morphism erasing a letter")
-    others = [a for a in A3 if a != erased[0]]
-    for a in others:
-        image = f.images[a]
-        if len(image) < 2:
-            return f"|f({a})| = {len(image)} < 2"
-        if sum(image.count(b) for b in others) < 1:
-            return f"f({a}) = {image!r} has no surviving letter"
-    both = f.images[others[0]] + f.images[others[1]]
-    for a in others:
-        if both.count(a) < 1:
-            return f"letter {a} never occurs in the images"
-    return None
 
 
 def intercalate(u, v, w):

@@ -17,27 +17,11 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .morphisms import A3, PHI, _letter_orbit, apply
 from .records import Record
 
-__all__ = [
-    "BoundedOutputError",
-    "WordStream",
-    "ComplexityProfile",
-    "BalanceProfile",
-    "SturmianVerdict",
-    "WSEVerdict",
-    "erase",
-    "fibonacci_numbers",
-    "fibonacci_stream",
-    "fixed_point_stream",
-    "apply_stream",
-    "literal_stream",
-    "complexity",
-    "balance_order",
-    "sturmian_verdict",
-    "wse_verdict",
-]
+__all__ = _EXPORTS["words"]
 
 
 class BoundedOutputError(RuntimeError):

@@ -1,4 +1,5 @@
-"""Shared helpers: cached streams and the perturbed two-letter corpus."""
+"""Shared helpers: cached streams, the recoded projections of a ternary
+morphism, and the perturbed two-letter corpus."""
 
 import random
 from functools import lru_cache
@@ -7,6 +8,7 @@ from sturmian_erasures import (
     Morphism,
     StRejection,
     compose,
+    erase,
     fibonacci_stream,
     st_membership,
 )
@@ -16,6 +18,17 @@ from sturmian_erasures.morphisms import E, ID2, PHI, PHIT
 @lru_cache(maxsize=8)
 def fib_prefix(length):
     return fibonacci_stream().prefix(length)
+
+
+def projection_restriction(f, i, j):
+    """The two-letter morphism on the letters other than i: erase j from
+    their images, then recode the two letters left to 0, 1 in order.  A
+    reference for mse_membership's projections that shares no code with mse."""
+    recode = str.maketrans("012".replace(j, ""), "01")
+    kept = "012".replace(i, "")
+    return Morphism(
+        {str(pos): erase(f.images[a], j).translate(recode) for pos, a in enumerate(kept)}
+    )
 
 
 def random_st_member(rng, max_factors=10):

@@ -432,6 +432,56 @@ def test_billiard_event_logs_spell_the_word(capsys):
     assert from_json[:5000] == word and "12" in from_json
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_closed_stdout_ends_quietly(fmt):
+    """A reader that stops after the first line (at most 4 KB of it) of a
+    10^5-letter coding leaves exit code 0 and an empty stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sturmian_erasures.cli", "billiard", "code",
+         "--d", "1,sqrt(2),2*sqrt(2)", "--rho", "0,0,0", "--length", "100000",
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    first = proc.stdout.readline(4096)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first[:1] in (b"0", b"t", b"[")
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_stdout_closed_at_start_ends_quietly(fmt):
+    """Started with fd 1 closed, as by `wse ... >&-`, a command exits 0 and
+    writes nothing to stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sturmian_erasures.cli", "billiard", "code",
+         "--d", "1,sqrt(2),sqrt(3)", "--rho", "0,0,0", "--length", "50", "--format", fmt],
+        stderr=subprocess.PIPE, timeout=60, preexec_fn=lambda: os.close(1),
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code():
+    """With stdout closed before the first write, a refuting verdict still
+    exits 1, and stderr stays empty."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sturmian_erasures.cli", "analyze", "sturmian", "00110"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_billiard_classify(capsys):
     code, out, _ = _run(capsys, "billiard", "classify", "--d", "1,sqrt(2),sqrt(3)")
     assert code == 0

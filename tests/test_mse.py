@@ -16,19 +16,18 @@ from sturmian_erasures import (
     incidence,
     intercalate,
     is_unit,
-    length_filter,
     mse_membership,
     parse_morphism,
     primality,
-    projection_restriction,
     psi,
     recompose,
     st_membership,
     wse_verdict,
 )
 from sturmian_erasures.morphisms import E0, ID3, PHI1, PHIT1
+from sturmian_erasures.mse import _RECODE
 
-from conftest import fib_prefix
+from conftest import fib_prefix, projection_restriction
 
 EX1_G = parse_morphism("0=02,1=10,2=")
 EX2_F = parse_morphism("0=0,1=1,2=012")
@@ -46,8 +45,9 @@ def test_projection_restriction():
 
 
 def test_projection_restriction_matches_erase_then_recode():
-    """The translate table agrees with erasing j, then recoding the two
-    remaining letters in order, for every (i, j)."""
+    """The reference and the translate tables mse_membership recodes with
+    agree with erasing j, then recoding the two remaining letters in order,
+    for every (i, j)."""
     rng = random.Random(53)
     for _ in range(300):
         f = Morphism({a: "".join(rng.choice("012") for _ in range(rng.randrange(9))) for a in "012"})
@@ -60,15 +60,9 @@ def test_projection_restriction_matches_erase_then_recode():
                 for pos, a in enumerate(dom)
             }
             assert projection_restriction(f, i, j) == Morphism(expected)
-    with pytest.raises(ValueError, match="outside alphabet 012"):
-        projection_restriction(EX1_G, "2", "3")
-
-
-@pytest.mark.parametrize("i", ["5", "", "01", 0])
-def test_projection_restriction_checks_the_erased_letter(i):
-    f = parse_morphism("0=01,1=10,2=")
-    with pytest.raises(ValueError, match=f"letter {i!r} outside alphabet 012"):
-        projection_restriction(f, i, "2")
+            table = _RECODE[j]
+            translated = {str(pos): f.images[a].translate(table) for pos, a in enumerate(dom)}
+            assert translated == expected
 
 
 def test_membership_erasing_member():
@@ -84,11 +78,26 @@ def test_membership_erasing_member():
     assert js["verdict"] == "erasing-member" and js["erased"] == "2"
 
 
+def _length_witness(f, i):
+    """The length conditions on a morphism erasing i, checked letter by
+    letter: None on pass, else the witness text of mse_membership."""
+    others = [a for a in "012" if a != i]
+    for a in others:
+        image = f.images[a]
+        if len(image) < 2:
+            return f"|f({a})| = {len(image)} < 2"
+        if erase(image, i) == "":
+            return f"f({a}) = {image!r} has no surviving letter"
+    letters = set(f.images[others[0]] + f.images[others[1]])
+    missing = [a for a in others if a not in letters]
+    return f"letter {missing[0]} never occurs in the images" if missing else None
+
+
 def _projection_path_membership(f):
-    """The projection path: length_filter, then st_membership on the
-    projection_restriction morphism for each j in 012."""
+    """The projection path: the test-local length check, then st_membership
+    on the test-local projection_restriction morphism for each j in 012."""
     i = next(a for a in "012" if f.images[a] == "")
-    witness = length_filter(f)
+    witness = _length_witness(f, i)
     if witness is not None:
         return MSEVerdict(kind="rejected", reason="length-filter", witness=witness)
     certificates = {}
@@ -162,27 +171,24 @@ def test_membership_worked_compositions():
 
 
 def test_length_filter():
-    assert length_filter(EX1_G) is None
-    assert length_filter(parse_morphism("0=0,1=12,2=")) == "|f(0)| = 1 < 2"
-    assert (
-        length_filter(parse_morphism("0=22,1=21,2="))
-        == "f(0) = '22' has no surviving letter"
-    )
-    assert (
-        length_filter(parse_morphism("0=00,1=00,2="))
-        == "letter 1 never occurs in the images"
-    )
-    with pytest.raises(ValueError):
-        length_filter(parse_morphism("0=0,1=1,2=2"))
+    assert mse_membership(EX1_G).reason is None
+    for spec, witness in [
+        ("0=0,1=12,2=", "|f(0)| = 1 < 2"),
+        ("0=22,1=21,2=", "f(0) = '22' has no surviving letter"),
+        ("0=00,1=00,2=", "letter 1 never occurs in the images"),
+    ]:
+        verdict = mse_membership(parse_morphism(spec))
+        assert (verdict.reason, verdict.witness) == ("length-filter", witness)
+    # The filter applies to erasing morphisms only.
+    assert mse_membership(EX2_F).reason == "not-permutation-no-erased-letter"
 
 
 @pytest.mark.parametrize(
     "f", [parse_morphism("0=01,1="), parse_morphism("0=,1=0"), "0=01,1=10,2="]
 )
-def test_length_filter_rejects_a_morphism_not_on_012(f):
-    for decide in (length_filter, mse_membership):
-        with pytest.raises(ValueError, match="^mse_membership expects a morphism on 012$"):
-            decide(f)
+def test_membership_rejects_a_morphism_not_on_012(f):
+    with pytest.raises(ValueError, match="^mse_membership expects a morphism on 012$"):
+        mse_membership(f)
 
 
 def test_every_member_passes_length_filter():
@@ -198,7 +204,7 @@ def test_every_member_passes_length_filter():
         )
         if mse_membership(f).kind == "erasing-member":
             found += 1
-            assert length_filter(f) is None
+            assert _length_witness(f, "2") is None
 
 
 def test_intercalate_examples():

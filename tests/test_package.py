@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_every_export_resolves_to_its_module():
-    assert len(pkg.__all__) == 50
+    assert len(pkg.__all__) == 48
+    # Each public name is listed once: a module's __all__ is its entry.
+    for module, names in pkg._EXPORTS.items():
+        assert import_module(f"sturmian_erasures.{module}").__all__ is names, module
     for name in pkg.__all__:
         value = getattr(pkg, name)
         module = sys.modules[value.__module__]
