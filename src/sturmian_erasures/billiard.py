@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import chain, compress, count, groupby, repeat
-from operator import and_, sub
+from operator import le, mod, sub
 
 from . import _EXPORTS
 from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _make, _sign_of, rational
@@ -103,27 +103,36 @@ class _Crossings:
         self.table = [[(key, x.get(key, 0), y.get(key, 0)) for key in keys]
                       for x, y in zip(ints[::2], ints[1::2])]
         self.counters = [1 if any(y for _, _, y in row) else 0 for row in self.table]
-        self.lines, self.bases = [], []  # bases: [v, y of the first member, least n]
+        self.lines, bases = [], []  # bases: [v, y of the first member, least n]
         for m, row in zip(self.counters, self.table):
             xs, ys = [x for _, x, _ in row], [y for _, _, y in row]
             p = math.gcd(*xs)
             v = [x // p for x in xs]
             k = next(k for k, x in enumerate(v) if x)
-            for cls, (w, y, _) in enumerate(self.bases):
+            for cls, (w, y, _) in enumerate(bases):
                 c = (ys[k] - y[k]) // v[k]  # y_i = y + c*v, if any c does
                 if w == v and list(map(sub, ys, y)) == [c * x for x in v]:
                     break
             else:
-                cls, c = len(self.bases), 0
-                self.bases.append([v, ys, m * p])
+                cls, c = len(bases), 0
+                bases.append([v, ys, m * p])
             # t = n*v - y with n = m*p - c, y that of the class's first member.
-            self.bases[cls][2] = min(self.bases[cls][2], m * p - c)
+            bases[cls][2] = min(bases[cls][2], m * p - c)
             self.lines.append((cls, p, c))
         # Shift each class's n so that its earliest first crossing has n = 0.
-        self.lines = [(cls, p, c + self.bases[cls][2]) for cls, p, c in self.lines]
-        self._enclose_at(64)
-        need = max(4 * (self.width() + 2), self.width() << 20) << 64
-        self._enclose_at(max(1, (-(-need // min(s for s, _ in self.steps)) - 1).bit_length()))
+        self.lines = [(cls, p, c + bases[cls][2]) for cls, p, c in self.lines]
+        self.line = {48 + i: cls for i, (cls, _, _) in zip(self.moving, self.lines)}
+        # Class rows of v and t0, zero coefficients dropped.  An enclosure of a
+        # row is as wide as the sum of |c| over its irrational keys at any k,
+        # so the widths come from the rows and only the steps are read at 64 bits.
+        self.rows = [[{key: c for key, c in zip(keys, row) if c}
+                      for row in (v, [n * x - y for x, y in zip(v, ys)])] for v, ys, n in bases]
+        spreads = [[sum(map(abs, r.values())) - abs(r.get(1, 0)) for r in rs] for rs in self.rows]
+        width = max(t + (m * p - c + 4112 * p) * v
+                    for m, (cls, p, c) in zip(self.counters, self.lines) for v, t in [spreads[cls]])
+        need = max(4 * (width + 2), width << 20) << 64
+        s = min(p * _enclose(self.rows[cls][0], 64)[0] for cls, p, _ in self.lines)
+        self._enclose_at(max(1, (-(-need // s) - 1).bit_length()))
 
     def width(self):
         """The widest enclosure, grown by the 4112 steps a batch can add."""
@@ -132,12 +141,7 @@ class _Crossings:
     def _enclose_at(self, k):
         """Enclose the next crossings at precision 2**k, each member of a
         class as enclose(t0) + n*enclose(v)."""
-        keys = [key for key, _, _ in self.table[0]]
-        bounds = [
-            (_enclose(dict(zip(keys, v)), k),
-             _enclose({key: n * x - y for key, x, y in zip(keys, v, ys)}, k))
-            for v, ys, n in self.bases
-        ]
+        bounds = [(_enclose(v, k), _enclose(t0, k)) for v, t0 in self.rows]
         self.k, self.steps, self.lo, self.hi = k, [], [], []
         for m, (cls, p, c) in zip(self.counters, self.lines):
             (vs, vw), (ts, tw) = bounds[cls]
@@ -145,6 +149,8 @@ class _Crossings:
             self.steps.append((p * vs, p * vw))
             self.lo.append(ts + n * vs)
             self.hi.append(tw + n * vw)
+        self.shortest, self.top = min(s for s, _ in self.steps), max(s for s, _ in self.steps) << 8
+        self.horizon = sum(self.top // s for s, _ in self.steps)
 
     def _exact(self, u, v, base):
         """The exact order of two crossings tagged from base: the sign of the
@@ -168,7 +174,11 @@ class _Crossings:
         of 64*lo + ord(letter), so order and gaps are kept), and one sort
         merges them.  With W the widest enclosure, bounds more than W apart
         are in certain order, and runs of closer ones (clusters) are
-        re-sorted by _exact, the only exact order test.  Two neighbours
+        re-sorted by _exact, the only exact order test.  The links of the
+        clusters are the neighbours whose tagged gap is at most 64W + 63,
+        so when one pass finds the least gap above that, the batch has no
+        cluster and no link list is built; otherwise the list comes from
+        the same gaps, and holds the same links.  Two neighbours
         with equal lower bounds on one line are an exact tie, which the
         sort already put in coordinate order, so they are not compared.
         What precedes the first sentinel's cluster is committed.
@@ -185,11 +195,10 @@ class _Crossings:
         S + 2*W as the crossing before it is committed or before 0; and
         c - base < 4112*s, 4*W < s.
         """
-        while 4 * (self.width() + 1) > min(s for s, _ in self.steps):
+        while 4 * (self.width() + 1) > self.shortest:
             self._enclose_at(2 * self.k)
-        lo, hi, steps = self.lo, self.hi, self.steps
-        base, top = min(lo), max(s for s, _ in steps) << 8
-        c = min(max(need, 256), 4096) * top // sum(top // s for s, _ in steps)
+        lo, hi, steps, base = self.lo, self.hi, self.steps, min(self.lo)
+        c = min(max(need, 256), 4096) * self.top // self.horizon
         ranges, sentinels, width = [], [], 0
         for pos, i in enumerate(self.moving):
             (s, w), first = steps[pos], lo[pos] - base
@@ -201,11 +210,13 @@ class _Crossings:
         end = bisect_left(merged, min(sentinels))
         # A tagged gap above 64W + 63 is a gap above W between lower
         # bounds; the others link the neighbours of one cluster.
-        gaps = map(sub, merged[1 : end + 1], merged)
-        links = list(compress(count(), map((64 * width + 63).__ge__, gaps))) if width else []
+        links, limit = [], 64 * width + 63
+        gaps = list(map(sub, merged[1 : end + 1], merged)) if width else []
+        if gaps and min(gaps) <= limit:
+            links = list(compress(count(), map(le, gaps, repeat(limit))))
         while links and links[-1] == end - 1:
             end = links.pop()
-        line = {48 + i: k for i, (k, _, _) in zip(self.moving, self.lines)}
+        line = self.line
         for at in links:  # insertion sort; it never leaves its cluster
             while at >= 0:
                 u, v = merged[at], merged[at + 1]
@@ -215,7 +226,7 @@ class _Crossings:
                     break
                 merged[at], merged[at + 1] = v, u
                 at -= 1
-        word = bytes(map(and_, merged[:end], repeat(63))).decode()
+        word = bytes(map(mod, merged, repeat(64, end))).decode()
         for pos, i in enumerate(self.moving):
             n = word.count(str(i))
             self.counters[pos] += n

@@ -145,7 +145,10 @@ class SqrtBasisNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        (out, sub), den = _common_scale(self, other)
+        for b, c in sub.items():
+            out[b] = out.get(b, 0) - c
+        return _make(out, den)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -291,13 +294,16 @@ def _make(ints, den):
 
 def rational(q):
     """Embed an integer, a Fraction, or anything Fraction() accepts."""
+    if type(q) is int:
+        return _make({1: q}, 1)
     q = Fraction(q)
     return _make({1: q.numerator}, q.denominator)
 
 
 def sqrt(k):
     """Exact square root of a positive integer."""
-    return SqrtBasisNumber({k: 1})
+    m, d = _squarefree_split(k)
+    return _make({d: m}, 1)
 
 
 # -- expression grammar: integers, p/q, sqrt(k), binary + - * /, parentheses --
@@ -325,14 +331,14 @@ def parse_number(text):
             f"bad number expression {text!r}: syntax error at offset {exc.offset}"
         ) from None
     try:
-        return _eval_node(tree.body)
+        return _eval_node(tree.body, ast)
     except ZeroDivisionError:
         raise ValueError(f"bad number expression {text!r}: division by zero") from None
 
 
-def _eval_node(node):
-    import ast
-
+def _eval_node(node, ast):
+    """The value of a syntax tree node; ast is the module, which parse_number
+    imports once per call so that importing this module stays cheap."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
             return rational(node.value)
@@ -340,9 +346,10 @@ def _eval_node(node):
             f"unsupported literal {node.value!r}: use integers and p/q rationals"
         )
     if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINOPS:
-        return _BINOPS[type(node.op).__name__](_eval_node(node.left), _eval_node(node.right))
+        left, right = _eval_node(node.left, ast), _eval_node(node.right, ast)
+        return _BINOPS[type(node.op).__name__](left, right)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        value = _eval_node(node.operand)
+        value = _eval_node(node.operand, ast)
         return -value if isinstance(node.op, ast.USub) else value
     if (
         isinstance(node, ast.Call)
@@ -351,12 +358,13 @@ def _eval_node(node):
         and len(node.args) == 1
         and not node.keywords
     ):
-        arg = _eval_node(node.args[0])
+        arg = _eval_node(node.args[0], ast)
         if not arg.is_rational():
             raise ValueError("sqrt argument must be a positive integer")
-        if arg._den != 1 or arg.sign() <= 0:
+        n = arg._ints.get(1, 0)
+        if arg._den != 1 or n <= 0:
             raise ValueError(f"sqrt argument must be a positive integer, got {arg}")
-        if arg._ints[1] > _SQRT_ARG_MAX:
+        if n > _SQRT_ARG_MAX:
             raise ValueError(f"sqrt argument {arg} exceeds the limit {_SQRT_ARG_MAX}")
-        return sqrt(arg._ints[1])
+        return sqrt(n)
     raise ValueError(f"unsupported expression element: {ast.dump(node)}")

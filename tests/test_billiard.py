@@ -406,6 +406,44 @@ def test_line_ties_skip_the_exact_test(config, parent):
     assert _exact_calls(config, 20_000) <= parent
 
 
+# Irrational streams with no line classes: after t = 0 no two crossings
+# come within an enclosure width of each other.  From the origin all three
+# coordinates cross at t = 0, a cluster of the first batch only.
+CLUSTER_FREE = [
+    (_config(["1", "sqrt(2)", "sqrt(3)"], ["0", "sqrt(2)/2", "sqrt(3)/3"]), 0),
+    (_config(["1", "sqrt(2)", "sqrt(5)"], ["0", "0", "0"]), 1),
+]
+
+
+def _link_builds(config, length, monkeypatch):
+    """Link lists built in the first length letters of letters(256)."""
+    builds = []
+
+    def counting(data, selectors):
+        builds.append(1)
+        return itertools.compress(data, selectors)
+
+    monkeypatch.setattr(billiard_module, "compress", counting)
+    crossings = _Crossings(_config_times(config))
+    done = 0
+    while done < length:
+        done += len(crossings.letters(256))
+    return len(builds)
+
+
+@pytest.mark.parametrize("config, at_zero", CLUSTER_FREE)
+def test_cluster_free_batches_build_no_links(config, at_zero, monkeypatch):
+    assert _link_builds(config, 256, monkeypatch) == at_zero
+    assert _link_builds(config, 20_000, monkeypatch) == at_zero
+
+
+@pytest.mark.parametrize("config", LINE_CONFIGS)
+def test_line_ties_still_build_links(config, monkeypatch):
+    # The line-class ties are clusters: their batches still take the links
+    # that the exact test and the tie rule work on.
+    assert _link_builds(config, 20_000, monkeypatch) >= 1
+
+
 def test_batch_tags_stay_under_a_bound_set_by_k(monkeypatch):
     tops = []
 

@@ -1,6 +1,7 @@
 """Property tests of exact sign and floor against integer-only rules."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sturmian_erasures import rational, sqrt  # noqa: E402
+from sturmian_erasures import SqrtBasisNumber, rational, sqrt  # noqa: E402
 
 
 def _squaring_sign(a, b, d):
@@ -36,3 +37,43 @@ def test_sign_and_floor_match_integer_rules(a, b, d, e):
     r = math.isqrt(b * b * d)
     fb = r if b >= 0 else -r - (r * r != b * b * d)
     assert (x / rational(e)).floor() == (a + fb) // e
+
+
+def _same(x, y):
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, -7, True, False, 10**199 + 7, -(3**419)])
+def test_rational_of_an_int_matches_the_general_constructor(n):
+    _same(rational(n), SqrtBasisNumber({1: n}))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.integers(-(10**200), 10**200))
+def test_rational_of_any_int_matches_the_general_constructor(n):
+    _same(rational(n), SqrtBasisNumber({1: n}))
+
+
+def test_sqrt_matches_the_general_constructor():
+    # Squares and square factors included: 4, 8, 12, 9801, 10000, ...
+    for k in range(1, 10**4 + 1):
+        _same(sqrt(k), SqrtBasisNumber({k: 1}))
+
+
+_coords = st.dictionaries(
+    st.sampled_from([1, 2, 3, 5, 6, 8, 12, 30]),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(a=_coords, b=_coords)
+def test_difference_matches_sum_with_negation(a, b):
+    x, y = SqrtBasisNumber(a), SqrtBasisNumber(b)
+    _same(x - y, x + (-y))
+    _same(y - x, y + (-x))
+    _same(x - x, rational(0))
+    n = int(b.get(1, 0))
+    _same(x - n, x + rational(-n))
+    _same(n - x, rational(n) + (-x))
