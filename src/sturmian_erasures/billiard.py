@@ -85,16 +85,33 @@ class _Crossings:
     integer; lines[pos] = (class, P, C).  Members enclose their times as
     enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
     two crossings are equal exactly when their n are, and then so are their
-    lower bounds, so letters() passes such ties by; _exact, the sign of a
+    lower bounds, so _batch() passes such ties by; _exact, the sign of a
     time-row difference, is the only exact order test.  A class of one
     keeps the tight enclosure of its first crossing, as its t0 is that
     crossing.  The widths hi - lo and w - s do not depend on k, and steps
     grow as 2**k: a 64-bit reading of the shortest step s sets k, the
     least k >= 1 with 2**(k-64)*s >= max(4*(W + 2), W << 20) for W =
-    width().  letters() still doubles k >= 1 while 4*(W + 1) > s, so each
+    width().  _batch() still doubles k >= 1 while 4*(W + 1) > s, so each
     batch starts from 4*(W + 1) <= s, and its proofs that no cluster holds
     two crossings of one coordinate and that every batch commits need no
-    more."""
+    more.
+
+    One class makes the word purely periodic.  First, every progression is
+    complete from n = 0.  The crossing of member i before its first one is
+    at -y_i < 0 when y_i > 0 (the first m is 1), and at -x_i < 0 when
+    y_i = 0 (it is 0).  The class's n = 0 is its earliest first crossing,
+    t0 = m*x_j - y_j >= 0 as 0 <= y_j <= x_j, and v > 0 as x_i = P_i*v > 0,
+    so t0 + n*v < 0 forces n < 0 there.  Member i thus crosses at exactly
+    the n >= 0 with n = -C_i mod P_i.  Second, crossings with equal n are
+    equal times, in coordinate order, so the word is, for n = 0, 1, 2, ...,
+    the block of the members with P_i dividing n + C_i, ascending.  That
+    block depends on n mod L alone, L = lcm(P_i), and n in [0, L) holds
+    L/P_i crossings of member i: the word repeats from letter 0 with
+    sum(L/P_i) letters a period, ties in coordinate order.  period is that
+    count, or 0 with two classes or more, or when it exceeds 4096, the
+    batch cap, so that the ring letters() repeats stays small: a long
+    period, sum(d_i) = 2*10**9 + 17 for d = (10**9+7, 10**9+9, 1), stays
+    on the batches."""
 
     def __init__(self, times):
         ints, self.den = _common_scale(*chain(*times.values()))
@@ -122,6 +139,10 @@ class _Crossings:
         # Shift each class's n so that its earliest first crossing has n = 0.
         self.lines = [(cls, p, c + bases[cls][2]) for cls, p, c in self.lines]
         self.line = {48 + i: cls for i, (cls, _, _) in zip(self.moving, self.lines)}
+        span = math.lcm(*(p for _, p, _ in self.lines))
+        period = sum(span // p for _, p, _ in self.lines) if len(bases) == 1 else 0
+        self.period = period if period <= 4096 else 0  # longer ones stay on the batches
+        self.head, self.ring = "", ""
         # Class rows of v and t0, zero coefficients dropped.  An enclosure of a
         # row is as wide as the sum of |c| over its irrational keys at any k,
         # so the widths come from the rows and only the steps are read at 64 bits.
@@ -166,7 +187,23 @@ class _Crossings:
 
     def letters(self, need):
         """The letters of the next events: about max(need, 256) of them, at
-        most about 4096, and always at least one event's block.
+        most about 4096, and always at least one event's block.  A period
+        of at most 4096 letters is ordered once by the batches and then
+        repeated, min(max(need, 256), 4096) letters a call."""
+        if self.ring:
+            n, at = min(max(need, 256), 4096), self.at
+            self.at = (at + n) % self.period
+            return self.ring[at : at + n]
+        word = self._batch(need)
+        if self.period:
+            self.head += word
+            if len(self.head) >= self.period:
+                self.at = len(self.head) % self.period
+                self.ring = self.head[: self.period] * (4096 // self.period + 2)
+        return word
+
+    def _batch(self, need):
+        """One batch of the ordering path, which letters() returns.
 
         Each coordinate's lower bounds form a progression.  Below a horizon
         c it adds its crossings and one sentinel at or past c, each tagged

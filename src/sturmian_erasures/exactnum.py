@@ -24,9 +24,11 @@ _SQRT_ARG_MAX = 10**12
 
 
 def _squarefree_split(k):
-    """Return (m, d) with k = m*m*d and d square-free, by trial division."""
-    if k < 1:
-        raise ValueError(f"square root argument must be a positive integer, got {k}")
+    """Return (m, d) with k = m*m*d and d square-free, by trial division.
+    Only an int that is not a bool is a key: a float or a bool would pass
+    as one and break the integer forms built from it."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"square root argument must be a positive integer, got {k!r}")
     m, d, n, p = 1, 1, k, 2
     while p * p <= n:
         if n % p == 0:

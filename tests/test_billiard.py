@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -608,3 +610,128 @@ def test_classify():
     assert classify(BilliardConfig(d=(1, 1, sqrt(2)), rho=(0, 0, 0))) == "Degenerate"
     assert classify(BilliardConfig(d=(0, 0, 1), rho=(0, 0, 0))) == "Degenerate"
     assert classify(BilliardConfig(d=(0, sqrt(2), sqrt(8)), rho=(0, 0, 0))) == "Periodic"
+
+
+# -- single-class directions: one period ordered, then repeated ---------------
+
+
+def _single_class_corpus(seed, count):
+    """Seeded directions with every moving coordinate on one rational line,
+    from rational starts: integer and rational d, and c*(a*sqrt(2),
+    b*sqrt(2), e*sqrt(2)); one, two or three moving coordinates.  Each
+    entry is (config, D), D the primitive integer vector along d."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind, moving = rng.randrange(3), rng.choice([[0, 1, 2], [0, 1, 2], [0, 1], [1, 2], [0, 2], [1]])
+        ints = [rng.randint(1, 9) if i in moving else 0 for i in range(3)]
+        dens = [rng.randint(1, 6) if kind == 1 else 1 for _ in range(3)]
+        scale = [rational(1), rational(1), sqrt(2) * rational(rng.randint(1, 5)) / rng.randint(1, 5)][kind]
+        d = tuple(scale * rational(Fraction(a, b)) for a, b in zip(ints, dens))
+        q = rng.randint(1, 9)
+        rho = tuple(rational(Fraction(rng.randrange(q), q)) for _ in range(3))
+        ratios = [Fraction(a, b) for a, b in zip(ints, dens)]
+        lcm = math.lcm(*(r.denominator for r in ratios))
+        whole = [int(r * lcm) for r in ratios]
+        yield BilliardConfig(d=d, rho=rho), [x // math.gcd(*whole) for x in whole]
+
+
+SINGLE_CLASS = list(_single_class_corpus(2301, 24)) + [
+    (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["0", "0", "0"]), [1, 1, 2]),
+    (_config(["3*sqrt(2)/2", "3*sqrt(2)/2", "3*sqrt(2)"], ["1/2", "0", "1/3"]), [1, 1, 2]),
+]
+CHUNKS = (1, 63, 300, 5000)
+
+
+def _chunked(prefix):
+    """Read through prefix in requests of each chunk size in turn, so that
+    reads end anywhere in a period."""
+    word = ""
+    for size in CHUNKS:
+        word = prefix(len(word) + size)
+    return word
+
+
+@pytest.mark.parametrize("config, whole", SINGLE_CLASS, ids=range(len(SINGLE_CLASS)))
+def test_single_class_words_match_the_reference(config, whole):
+    length = sum(CHUNKS)
+    expected = list(itertools.islice(_reference_events(config), length))
+    word = "".join("".join(map(str, e.omega)) for e in expected)[:length]
+    stream = billiard_word(config)
+    assert stream._pump.__self__.period == sum(whole) <= length // 3
+    assert _chunked(stream.prefix) == word
+    assert stream._pump.__self__.ring  # the later letters came from the period
+    # The ordinary path, the batches alone, gives the same letters.
+    ordinary = _Crossings(_config_times(config))
+    ordinary.period = 0
+    got = ""
+    while len(got) < length:
+        got += ordinary.letters(length - len(got))
+    assert got[:length] == word and not ordinary.ring
+    events = _events(config, len(expected))
+    assert events == expected
+
+
+@pytest.mark.parametrize("config, whole", SINGLE_CLASS, ids=range(len(SINGLE_CLASS)))
+def test_single_class_period_and_classification(config, whole):
+    assert classify(config) in ("Periodic", "Degenerate")
+    assert _Crossings(_config_times(config)).period == sum(whole)
+    assert math.gcd(*whole) == 1 and sum(whole) > 0
+
+
+def _sorts(monkeypatch):
+    calls = []
+
+    def counting_sorted(tags):
+        calls.append(1)
+        return sorted(tags)
+
+    monkeypatch.setattr(billiard_module, "sorted", counting_sorted, raising=False)
+    return calls
+
+
+def _batches_to_period(config):
+    """Batches the ordinary path takes to order one period of a 10**6-letter
+    read, as WordStream.prefix asks for it."""
+    crossings = _Crossings(_config_times(config))
+    period, crossings.period = crossings.period, 0
+    have = batches = 0
+    while have < period:
+        have += len(crossings.letters(10**6 - have))
+        batches += 1
+    return batches
+
+
+@pytest.mark.parametrize("config, period", [
+    (_config(["3", "5", "7"], ["0", "1/2", "1/3"]), 15),
+    (_config(["1", "2048", "2047"], ["0", "0", "0"]), 4096),
+    (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["1/2", "0", "1/3"]), 4),
+])
+def test_periodic_streams_order_one_period(config, period, monkeypatch):
+    batches = _batches_to_period(config)
+    stream = billiard_word(config)
+    calls = _sorts(monkeypatch)
+    assert stream._pump.__self__.period == period
+    word = stream.prefix(10**6)
+    assert len(calls) == batches
+    assert word == word[:period] * (10**6 // period) + word[: 10**6 % period]
+    # The ring holds the period and at most one batch cap of letters past it.
+    assert len(stream._pump.__self__.ring) <= 2 * period + 4096
+    stream.prefix(2 * 10**6)
+    assert len(calls) == batches
+
+
+@pytest.mark.parametrize("d", [
+    ["1", "sqrt(2)", "2*sqrt(2)"],
+    ["1", "sqrt(2)", "sqrt(3)"],
+    # One line, but sum(d_i) letters a period: over 4096, or 2*10**9 + 17.
+    ["1", "2048", "2048"],
+    ["1000000007", "1000000009", "1"],
+])
+def test_other_streams_stay_on_the_batches(d, monkeypatch):
+    config = _config(d, ["0", "0", "0"])
+    assert _Crossings(_config_times(config)).period == 0
+    stream = billiard_word(config)
+    calls = _sorts(monkeypatch)
+    stream.prefix(10**5)
+    assert len(calls) >= 10**5 // 4096 and not stream._pump.__self__.ring
+    assert stream.prefix(3000) == _event_word(config, 3000)

@@ -169,6 +169,18 @@ def test_parse_number_rejects(text):
         parse_number(text)
 
 
+@pytest.mark.parametrize("key", [2.5, 4.0, True, False, Fraction(4), "4"])
+def test_square_root_keys_are_ints(key):
+    # A float key once built a value whose sign() raised TypeError (2.5) or
+    # a key 1.0 (4.0), and True passed as the key 1.
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        sqrt(key)
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        SqrtBasisNumber({key: 1})
+    assert sqrt(4) == SqrtBasisNumber({4: 1}) == rational(2)
+    assert sqrt(8) == SqrtBasisNumber({2: 2})
+
+
 def test_parse_number_bounds_sqrt_argument():
     with pytest.raises(ValueError, match="exceeds the limit"):
         parse_number("sqrt(1000000000039*1000000000061)")

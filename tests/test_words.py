@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -31,6 +32,7 @@ from sturmian_erasures import (
     sturmian_verdict,
     wse_verdict,
 )
+import sturmian_erasures.billiard as billiard_module
 import sturmian_erasures.exactnum as exactnum
 import sturmian_erasures.words as words_module
 from sturmian_erasures.morphisms import ID2, PHI, Morphism, compose
@@ -312,6 +314,53 @@ def test_mechanical_tiny_slope_takes_no_exact_floor_per_letter(monkeypatch):
     assert mechanical_stream(alpha, rational(0)).prefix(20000) == expected
     assert time.perf_counter() - start < 1
     assert len(floors) < 100
+
+
+def _rational_mechanical_corpus(seed, count):
+    """Seeded (p, q, u): slope p/q in lowest terms, q <= 40, from rho = u/q,
+    half of them from rho = 0."""
+    rng = random.Random(seed)
+    for pos in range(count):
+        q = rng.randint(2, 40)
+        p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+        yield p, q, rng.randrange(1, q) if pos % 2 else 0
+
+
+RATIONAL_MECHANICAL = list(_rational_mechanical_corpus(2302, 16))
+
+
+def _crossings_of(stream):
+    """The _Crossings object that a mechanical stream's pump reads."""
+    return inspect.getclosurevars(stream._pump).nonlocals["crossings"]
+
+
+@pytest.mark.parametrize("p, q, u", RATIONAL_MECHANICAL)
+def test_rational_mechanical_words_repeat_their_period(p, q, u):
+    # Reads of 1, 63, 300 and 5000 letters end anywhere in a period, and the
+    # ordinary path, the batches alone, gives the same letters.
+    alpha, rho = rational(p) / q, rational(u) / q
+    expected = _floor_word(alpha, rho, 5364)
+    stream, ordinary = mechanical_stream(alpha, rho), mechanical_stream(alpha, rho)
+    assert _crossings_of(stream).period == q
+    _crossings_of(ordinary).period = 0
+    word = ""
+    for size in (1, 63, 300, 5000):
+        word = stream.prefix(len(word) + size)
+    assert word == expected == ordinary.prefix(5364)
+    assert _crossings_of(stream).ring and not _crossings_of(ordinary).ring
+
+
+def test_rational_mechanical_orders_one_batch(monkeypatch):
+    # 5/13 has 13 letters a period: the first batch orders it, and a
+    # million letters later no other batch has run.
+    stream = mechanical_stream(parse_number("5/13"), parse_number("1/13"))
+    sorts = []
+    monkeypatch.setattr(billiard_module, "sorted", lambda tags: sorts.append(1) or sorted(tags),
+                        raising=False)
+    word = stream.prefix(10**6)
+    assert len(sorts) == 1
+    period = _floor_word(rational(5) / 13, rational(1) / 13, 13)
+    assert word == (period * (10**6 // 13 + 1))[: 10**6]
 
 
 def test_mechanical_irrational_complexity():
