@@ -82,36 +82,39 @@ class _Crossings:
     positive multiple P*v of one primitive integer row v, and the y_i rows
     differ by integer multiples of v, so every crossing time of a member is
     t0 + n*v with t0 the class's first crossing and n = m*P - C >= 0 an
-    integer; lines[pos] = (class, P, C).  Members enclose their times as
-    enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
-    two crossings are equal exactly when their n are, and then so are their
-    lower bounds, so _batch() passes such ties by; _exact, the sign of a
-    time-row difference, is the only exact order test.  A class of one
-    keeps the tight enclosure of its first crossing, as its t0 is that
-    crossing.  The widths hi - lo and w - s do not depend on k, and steps
-    grow as 2**k: a 64-bit reading of the shortest step s sets k, the
-    least k >= 1 with 2**(k-64)*s >= max(4*(W + 2), W << 20) for W =
-    width().  _batch() still doubles k >= 1 while 4*(W + 1) > s, so each
-    batch starts from 4*(W + 1) <= s, and its proofs that no cluster holds
-    two crossings of one coordinate and that every batch commits need no
-    more.
+    integer; lines[pos] = (class, P, C).  A class is keyed by v and its one
+    row y = y_i - floor(y_i[k]/v[k])*v, k the first nonzero index of v.
+    Members enclose their times as enclose(t0) + n*enclose(v): lower
+    bounds strictly increase with n, and two crossings are equal exactly
+    when their n are, and then so are their lower bounds, so _batch()
+    passes such ties by; _exact, the sign of a time-row difference, is the
+    only exact order test.  A class of one keeps the tight enclosure of its
+    first crossing, as its t0 is that crossing.  The widths hi - lo and
+    w - s do not depend on k, and steps grow as 2**k: a 64-bit reading of
+    the shortest step s sets k, the least k >= 1 with 2**(k-64)*s >=
+    max(4*(W + 2), W << 20) for W = width().  _batch() still doubles k >= 1
+    while 4*(W + 1) > s, so each batch starts from 4*(W + 1) <= s, and its
+    proofs that no cluster holds two crossings of one coordinate and that
+    every batch commits need no more.
 
-    One class makes the word purely periodic.  First, every progression is
-    complete from n = 0.  The crossing of member i before its first one is
-    at -y_i < 0 when y_i > 0 (the first m is 1), and at -x_i < 0 when
-    y_i = 0 (it is 0).  The class's n = 0 is its earliest first crossing,
-    t0 = m*x_j - y_j >= 0 as 0 <= y_j <= x_j, and v > 0 as x_i = P_i*v > 0,
-    so t0 + n*v < 0 forces n < 0 there.  Member i thus crosses at exactly
-    the n >= 0 with n = -C_i mod P_i.  Second, crossings with equal n are
-    equal times, in coordinate order, so the word is, for n = 0, 1, 2, ...,
-    the block of the members with P_i dividing n + C_i, ascending.  That
-    block depends on n mod L alone, L = lcm(P_i), and n in [0, L) holds
-    L/P_i crossings of member i: the word repeats from letter 0 with
-    sum(L/P_i) letters a period, ties in coordinate order.  period is that
-    count, or 0 with two classes or more, or when it exceeds 4096, the
-    batch cap, so that the ring letters() repeats stays small: a long
-    period, sum(d_i) = 2*10**9 + 17 for d = (10**9+7, 10**9+9, 1), stays
-    on the batches."""
+    A direction is one distinct v; directions counts them, and classify()
+    reads it.  One direction makes the word purely periodic.  First, the
+    crossings of member i with t >= 0 are exactly those with m >= its first
+    m: the one before is at -y_i < 0 when y_i > 0 (the first m is 1), and at
+    -x_i < 0 when y_i = 0 (it is 0).  So the word is every crossing with
+    t >= 0, in time order, ties in coordinate order.  Second, with
+    L = lcm(P_i), adding L/P_i to every member's m adds L to its n and so
+    L*v to its time, in every class alike: a bijection of the crossings
+    with t >= 0 onto those with t >= L*v that keeps their order and ties.
+    The word is thus the crossings in [0, L*v), then the word again: it
+    repeats from letter 0, and as x_i = P_i*v, member i crosses L/P_i times
+    in [0, L*v), so a period has sum(L/P_i) letters.  Ties still happen only
+    inside one line class, as two times are equal exactly when their rows
+    are, and equal rows put y_a - y_b in Z*v.  period is that count, or 0
+    with two directions or more, or when it exceeds 4096, the batch cap,
+    so that the ring letters() repeats stays small: a long period,
+    sum(d_i) = 2*10**9 + 17 for d = (10**9+7, 10**9+9, 1), stays on the
+    batches."""
 
     def __init__(self, times):
         ints, self.den = _common_scale(*chain(*times.values()))
@@ -120,34 +123,33 @@ class _Crossings:
         self.table = [[(key, x.get(key, 0), y.get(key, 0)) for key in keys]
                       for x, y in zip(ints[::2], ints[1::2])]
         self.counters = [1 if any(y for _, _, y in row) else 0 for row in self.table]
-        self.lines, bases = [], []  # bases: [v, y of the first member, least n]
+        self.lines, bases = [], {}  # (v, y) -> [class, least n]
         for m, row in zip(self.counters, self.table):
             xs, ys = [x for _, x, _ in row], [y for _, _, y in row]
             p = math.gcd(*xs)
-            v = [x // p for x in xs]
+            v = tuple(x // p for x in xs)
             k = next(k for k, x in enumerate(v) if x)
-            for cls, (w, y, _) in enumerate(bases):
-                c = (ys[k] - y[k]) // v[k]  # y_i = y + c*v, if any c does
-                if w == v and list(map(sub, ys, y)) == [c * x for x in v]:
-                    break
-            else:
-                cls, c = len(bases), 0
-                bases.append([v, ys, m * p])
-            # t = n*v - y with n = m*p - c, y that of the class's first member.
-            bases[cls][2] = min(bases[cls][2], m * p - c)
-            self.lines.append((cls, p, c))
+            c = ys[k] // v[k]  # y_i = y + c*v, y[k] = y_i[k] mod v[k]: one y a class
+            y = tuple(a - c * x for a, x in zip(ys, v))
+            # t = n*v - y with n = m*p - c.
+            base = bases.setdefault((v, y), [len(bases), m * p - c])
+            base[1] = min(base[1], m * p - c)
+            self.lines.append((base[0], p, c))
         # Shift each class's n so that its earliest first crossing has n = 0.
-        self.lines = [(cls, p, c + bases[cls][2]) for cls, p, c in self.lines]
+        least = [n for _, n in bases.values()]
+        self.lines = [(cls, p, c + least[cls]) for cls, p, c in self.lines]
         self.line = {48 + i: cls for i, (cls, _, _) in zip(self.moving, self.lines)}
+        self.directions = len({v for v, _ in bases})
         span = math.lcm(*(p for _, p, _ in self.lines))
-        period = sum(span // p for _, p, _ in self.lines) if len(bases) == 1 else 0
+        period = sum(span // p for _, p, _ in self.lines) if self.directions == 1 else 0
         self.period = period if period <= 4096 else 0  # longer ones stay on the batches
         self.head, self.ring = "", ""
         # Class rows of v and t0, zero coefficients dropped.  An enclosure of a
         # row is as wide as the sum of |c| over its irrational keys at any k,
         # so the widths come from the rows and only the steps are read at 64 bits.
         self.rows = [[{key: c for key, c in zip(keys, row) if c}
-                      for row in (v, [n * x - y for x, y in zip(v, ys)])] for v, ys, n in bases]
+                      for row in (v, [n * x - a for x, a in zip(v, y)])]
+                     for (v, y), (_, n) in bases.items()]
         spreads = [[sum(map(abs, r.values())) - abs(r.get(1, 0)) for r in rs] for rs in self.rows]
         width = max(t + (m * p - c + 4112 * p) * v
                     for m, (cls, p, c) in zip(self.counters, self.lines) for v, t in [spreads[cls]])
@@ -347,26 +349,21 @@ def mechanical_stream(alpha, rho):
 
 
 def classify(config):
-    """Coarse trajectory type from the direction alone.
+    """Coarse trajectory type from the direction alone, read off the
+    direction classes of _Crossings.
 
-    Two zero coordinates leave a single letter; with one zero the two moving
-    coordinates give a periodic word when their ratio is rational and a
-    Sturmian-type word otherwise; with all three moving the word is periodic
-    when all ratios are rational, a candidate for Sturmian erasures when all
-    are irrational, and degenerate in the mixed case.
+    d_a/d_b is rational exactly when x_a/x_b is, that is, when the rows of
+    x_a and x_b are proportional, as square roots of distinct square-free
+    keys are independent over Q: when both lie in one direction.  One
+    moving coordinate leaves a single letter; one direction gives a
+    periodic word; two moving coordinates in two directions give a
+    Sturmian-type word; three in three directions are a candidate for
+    Sturmian erasures, and three in two directions are degenerate.
     """
-    moving = [i for i in range(3) if config.d[i].sign() > 0]
-    if len(moving) == 1:
-        return "Degenerate"
-    ratios_rational = [
-        (config.d[a] / config.d[b]).is_rational()
-        for pos, a in enumerate(moving)
-        for b in moving[pos + 1 :]
-    ]
-    if len(moving) == 2:
-        return "Periodic" if ratios_rational[0] else "SturmianProjection"
-    if all(ratios_rational):
-        return "Periodic"
-    if not any(ratios_rational):
-        return "WSECandidate"
-    return "Degenerate"
+    crossings = _Crossings(_config_times(config))
+    movers, directions = len(crossings.moving), crossings.directions
+    if directions == 1:
+        return "Degenerate" if movers == 1 else "Periodic"
+    if directions == 2:
+        return "SturmianProjection" if movers == 2 else "Degenerate"
+    return "WSECandidate"

@@ -289,6 +289,8 @@ def test_line_class_split():
     assert _line_split(LINE_CONFIGS[-1]) == [[0, 1, 2]]
     assert _line_split(OFF_LINE) == [[0], [1], [2]]
     assert _line_split(BilliardConfig(d=(3, 5, 7), rho=(0, 0, 0))) == [[0, 1, 2]]
+    # One direction, but y_1 is off the line of y_0 and y_2 by sqrt(2)/10.
+    assert _line_split(_config(["3", "5", "7"], ["0", "sqrt(2)/2", "0"])) == [[0, 2], [1]]
 
 
 @pytest.mark.parametrize("config", LINE_CONFIGS + [OFF_LINE])
@@ -612,7 +614,66 @@ def test_classify():
     assert classify(BilliardConfig(d=(0, sqrt(2), sqrt(8)), rho=(0, 0, 0))) == "Periodic"
 
 
-# -- single-class directions: one period ordered, then repeated ---------------
+def _ratio_classify(config):
+    """The reference for classify: its former loop, which decides each
+    ratio d_a/d_b rational by SqrtBasisNumber division."""
+    moving = [i for i in range(3) if config.d[i].sign() > 0]
+    if len(moving) == 1:
+        return "Degenerate"
+    ratios_rational = [
+        (config.d[a] / config.d[b]).is_rational()
+        for pos, a in enumerate(moving)
+        for b in moving[pos + 1 :]
+    ]
+    if len(moving) == 2:
+        return "Periodic" if ratios_rational[0] else "SturmianProjection"
+    if all(ratios_rational):
+        return "Periodic"
+    if not any(ratios_rational):
+        return "WSECandidate"
+    return "Degenerate"
+
+
+STARTS = ["0", "1/2", "1/3", "sqrt(2)/2", "sqrt(3)/3", "sqrt(5)-2", "2-sqrt(3)", "1-sqrt(6)/3"]
+
+
+def _quadratic_corpus(seed, count):
+    """Seeded configs with one to three moving coordinates, each a + b*sqrt(k)
+    with k in {2, 3, 5, 6}, or a rational multiple of one such base, so that
+    every classification occurs; rational and quadratic starts."""
+    rng = random.Random(seed)
+
+    def number():
+        while True:
+            a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+            x = rational(a) + rational(b) * sqrt(rng.choice([2, 3, 5, 6]))
+            if x.sign() > 0:
+                return x
+
+    for _ in range(count):
+        moving, base = rng.sample(range(3), rng.randint(1, 3)), number()
+        d = [rng.choice([number(), base * rational(Fraction(rng.randint(1, 60), rng.randint(1, 60)))])
+             if i in moving else 0 for i in range(3)]
+        yield BilliardConfig(d=tuple(d), rho=tuple(map(parse_number, rng.choices(STARTS, k=3))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_classify_matches_the_ratio_reference(seed):
+    for config in _quadratic_corpus(2401 + seed, 100):
+        crossings = _Crossings(_config_times(config))
+        kind = classify(config)
+        assert kind == _ratio_classify(config), config
+        assert (kind == "Periodic" or len(crossings.moving) == 1) == (crossings.directions == 1)
+        if crossings.directions == 1:
+            # sum(L/P_i) is sum(D), D the primitive integer vector along d.
+            first = next(x for x in config.d if x.sign())
+            ratios = [(x / first).coords.get(1, Fraction(0)) for x in config.d]
+            whole = [int(r * math.lcm(*(r.denominator for r in ratios))) for r in ratios]
+            letters = sum(whole) // math.gcd(*whole)
+            assert crossings.period == (letters if letters <= 4096 else 0), config
+
+
+# -- one-direction codings: one period ordered, then repeated ----------------
 
 
 def _single_class_corpus(seed, count):
@@ -638,6 +699,11 @@ def _single_class_corpus(seed, count):
 SINGLE_CLASS = list(_single_class_corpus(2301, 24)) + [
     (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["0", "0", "0"]), [1, 1, 2]),
     (_config(["3*sqrt(2)/2", "3*sqrt(2)/2", "3*sqrt(2)"], ["1/2", "0", "1/3"]), [1, 1, 2]),
+    # One direction from starts off its line: two or three line classes.
+    (_config(["3", "5", "7"], ["0", "sqrt(2)/2", "0"]), [3, 5, 7]),
+    (_config(["1", "2", "3"], ["sqrt(3)/3", "sqrt(2)/2", "0"]), [1, 2, 3]),
+    (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["sqrt(3)/3", "0", "0"]), [1, 1, 2]),
+    (_config(["1", "1", "0"], ["sqrt(2)/2", "0", "0"]), [1, 1, 0]),
 ]
 CHUNKS = (1, 63, 300, 5000)
 

@@ -326,7 +326,10 @@ def _rational_mechanical_corpus(seed, count):
         yield p, q, rng.randrange(1, q) if pos % 2 else 0
 
 
-RATIONAL_MECHANICAL = list(_rational_mechanical_corpus(2302, 16))
+# Rational slopes from irrational starts: rho is given as text.
+RATIONAL_MECHANICAL = list(_rational_mechanical_corpus(2302, 16)) + [
+    (5, 13, "sqrt(2)/2"), (3, 8, "sqrt(3)/3"), (1, 2, "sqrt(5)-2"), (11, 17, "1-sqrt(2)/2"),
+]
 
 
 def _crossings_of(stream):
@@ -338,7 +341,7 @@ def _crossings_of(stream):
 def test_rational_mechanical_words_repeat_their_period(p, q, u):
     # Reads of 1, 63, 300 and 5000 letters end anywhere in a period, and the
     # ordinary path, the batches alone, gives the same letters.
-    alpha, rho = rational(p) / q, rational(u) / q
+    alpha, rho = rational(p) / q, parse_number(u) if isinstance(u, str) else rational(u) / q
     expected = _floor_word(alpha, rho, 5364)
     stream, ordinary = mechanical_stream(alpha, rho), mechanical_stream(alpha, rho)
     assert _crossings_of(stream).period == q
