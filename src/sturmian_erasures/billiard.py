@@ -22,12 +22,6 @@ from .words import WordStream
 __all__ = _EXPORTS["billiard"]
 
 
-def _coerce(x):
-    if isinstance(x, SqrtBasisNumber):
-        return x
-    return rational(x)
-
-
 class BilliardConfig(Record):
     """Direction d and starting point rho, componentwise exact.
 
@@ -41,17 +35,16 @@ class BilliardConfig(Record):
     def __post_init__(self):
         if len(self.d) != 3 or len(self.rho) != 3:
             raise ValueError("d and rho must have three coordinates")
-        object.__setattr__(self, "d", tuple(_coerce(x) for x in self.d))
-        object.__setattr__(self, "rho", tuple(_coerce(x) for x in self.rho))
+        for name in ("d", "rho"):
+            xs = (x if isinstance(x, SqrtBasisNumber) else rational(x) for x in getattr(self, name))
+            object.__setattr__(self, name, tuple(xs))
         signs = [x.sign() for x in self.d]
         if any(s < 0 for s in signs):
             raise ValueError("direction coordinates must be nonnegative")
         if all(s == 0 for s in signs):
             raise ValueError("direction must be nonzero")
-        one = rational(1)
-        for x in self.rho:
-            if x.sign() < 0 or (x - one).sign() >= 0:
-                raise ValueError("starting point coordinates must lie in [0, 1)")
+        if any(x.floor() for x in self.rho):
+            raise ValueError("starting point coordinates must lie in [0, 1)")
 
 
 class CrossingEvent(Record):
@@ -330,9 +323,9 @@ def mechanical_stream(alpha, rho):
     """
     if not isinstance(alpha, SqrtBasisNumber) or not isinstance(rho, SqrtBasisNumber):
         raise ValueError("alpha and rho must be SqrtBasisNumber values")
-    if not (alpha.sign() > 0 and (alpha - 1).sign() < 0):
+    if alpha.is_zero() or alpha.floor():
         raise ValueError("alpha must satisfy 0 < alpha < 1")
-    if not (rho.sign() >= 0 and (rho - 1).sign() < 0):
+    if rho.floor():
         raise ValueError("rho must satisfy 0 <= rho < 1")
     head, rho = ("", rho) if rho.sign() else ("0", alpha)
     beta, zero = 1 - alpha, rational(0)

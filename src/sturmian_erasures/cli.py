@@ -123,6 +123,8 @@ def _cmd_word_erase(args):
 
 
 def _analysis_input(args):
+    if args.length < 0:
+        raise ValueError("length must be >= 0")
     word = _read_word(args, args.length)
     if not word:
         raise ValueError("empty input word")

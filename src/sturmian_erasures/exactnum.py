@@ -10,6 +10,7 @@ doubling k; no floating point enters any decision.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -94,6 +95,21 @@ def _common_scale(*xs):
     return [{b: c * (den // x._den) for b, c in x._ints.items()} for x in xs], den
 
 
+def _operand(method):
+    """The binary method with an int or Fraction operand embedded by
+    rational(), returning NotImplemented for any other type."""
+
+    @functools.wraps(method)
+    def embedded(self, other):
+        if not isinstance(other, SqrtBasisNumber):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = rational(other)
+        return method(self, other)
+
+    return embedded
+
+
 class SqrtBasisNumber:
     """Immutable exact value sum(c_b * sqrt(b)) / den over square-free keys b,
     stored as nonzero integers c_b over one den > 0, in lowest terms."""
@@ -101,38 +117,17 @@ class SqrtBasisNumber:
     __slots__ = ("_ints", "_den")
 
     def __init__(self, coords=None):
-        qs = {}
-        for b, q in (coords or {}).items():
-            q = Fraction(q)
-            if q:
-                m, d = _squarefree_split(b)
-                qs[d] = qs.get(d, 0) + q * m
-                if not qs[d]:  # a key that comes back after cancelling goes last
-                    del qs[d]
-        den = math.lcm(*(q.denominator for q in qs.values()))
-        x = _make({b: q.numerator * (den // q.denominator) for b, q in qs.items()}, den)
+        x = sum((sqrt(b) * rational(q) for b, q in (coords or {}).items()), rational(0))
         self._ints, self._den = x._ints, x._den
 
     @property
     def coords(self):
         return {b: Fraction(c, self._den) for b, c in self._ints.items()}
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, SqrtBasisNumber):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return rational(x)
-        return NotImplemented
-
     # -- ring operations ------------------------------------------------------
 
+    @_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         (out, add), den = _common_scale(self, other)
         for b, c in add.items():
             out[b] = out.get(b, 0) + c
@@ -143,25 +138,19 @@ class SqrtBasisNumber:
     def __neg__(self):
         return _make({b: -c for b, c in self._ints.items()}, self._den)
 
+    @_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         (out, sub), den = _common_scale(self, other)
         for b, c in sub.items():
             out[b] = out.get(b, 0) - c
         return _make(out, den)
 
+    @_operand
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_operand
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         out = {}
         for a, p in self._ints.items():
             for b, q in other._ints.items():
@@ -197,16 +186,12 @@ class SqrtBasisNumber:
         conj = _make({b: (-c if b % g == 0 else c) for b, c in self._ints.items()}, self._den)
         return conj * (self * conj)._inverse()
 
+    @_operand
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other._inverse()
 
+    @_operand
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __pow__(self, n):
@@ -233,10 +218,8 @@ class SqrtBasisNumber:
         """The unique integer m with m <= x < m + 1."""
         return _floor_of(self._ints, self._den)
 
+    @_operand
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
@@ -321,7 +304,37 @@ _BINOPS = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul, "Div"
 
 def parse_number(text):
     """Parse an expression such as "(3-sqrt(5))/2" into an exact value."""
-    import ast
+    import ast  # here, so that importing this module stays cheap
+
+    def value(node):
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, int) and not isinstance(node.value, bool):
+                return rational(node.value)
+            raise ValueError(
+                f"unsupported literal {node.value!r}: use integers and p/q rationals"
+            )
+        if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINOPS:
+            return _BINOPS[type(node.op).__name__](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            x = value(node.operand)
+            return -x if isinstance(node.op, ast.USub) else x
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt"
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            arg = value(node.args[0])
+            if not arg.is_rational():
+                raise ValueError("sqrt argument must be a positive integer")
+            n = arg._ints.get(1, 0)
+            if arg._den != 1 or n <= 0:
+                raise ValueError(f"sqrt argument must be a positive integer, got {arg}")
+            if n > _SQRT_ARG_MAX:
+                raise ValueError(f"sqrt argument {arg} exceeds the limit {_SQRT_ARG_MAX}")
+            return sqrt(n)
+        raise ValueError(f"unsupported expression element: {ast.dump(node)}")
 
     expr = text.strip()
     if len(expr) > _EXPR_MAX:
@@ -333,40 +346,6 @@ def parse_number(text):
             f"bad number expression {text!r}: syntax error at offset {exc.offset}"
         ) from None
     try:
-        return _eval_node(tree.body, ast)
+        return value(tree.body)
     except ZeroDivisionError:
         raise ValueError(f"bad number expression {text!r}: division by zero") from None
-
-
-def _eval_node(node, ast):
-    """The value of a syntax tree node; ast is the module, which parse_number
-    imports once per call so that importing this module stays cheap."""
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return rational(node.value)
-        raise ValueError(
-            f"unsupported literal {node.value!r}: use integers and p/q rationals"
-        )
-    if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINOPS:
-        left, right = _eval_node(node.left, ast), _eval_node(node.right, ast)
-        return _BINOPS[type(node.op).__name__](left, right)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        value = _eval_node(node.operand, ast)
-        return -value if isinstance(node.op, ast.USub) else value
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "sqrt"
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        arg = _eval_node(node.args[0], ast)
-        if not arg.is_rational():
-            raise ValueError("sqrt argument must be a positive integer")
-        n = arg._ints.get(1, 0)
-        if arg._den != 1 or n <= 0:
-            raise ValueError(f"sqrt argument must be a positive integer, got {arg}")
-        if n > _SQRT_ARG_MAX:
-            raise ValueError(f"sqrt argument {arg} exceeds the limit {_SQRT_ARG_MAX}")
-        return sqrt(n)
-    raise ValueError(f"unsupported expression element: {ast.dump(node)}")

@@ -24,6 +24,7 @@ from .morphisms import (
     PI2,
     Morphism,
     compose,
+    format_morphism,
 )
 from .records import Record
 
@@ -202,8 +203,6 @@ class PrimalityVerdict(Record):
     h_factor: Morphism | None = None
 
     def to_json(self):
-        from .morphisms import format_morphism
-
         out = {"verdict": self.kind, "note": self.note}
         if self.g_factor is not None:
             out["g"] = format_morphism(self.g_factor)

@@ -484,6 +484,14 @@ def test_config_validation():
         BilliardConfig(d=(rational(1), rational(1)), rho=(rational(0), rational(0)))
     ints = BilliardConfig(d=(1, 1, 0), rho=(0, 0, 0))
     assert ints.d[0] == rational(1)
+    # Each end of [0, 1), and values within 3e-28 of one.
+    near = parse_number("sqrt(2)-1414213562373095048801688724/1000000000000000000000000000")
+    for x in (0, 1, near, -near, 1 - near, 1 + near):
+        if x in (0, near, 1 - near):
+            assert BilliardConfig(d=(1, 1, 1), rho=(0, x, 0)).rho[1] == x
+        else:
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+                BilliardConfig(d=(1, 1, 1), rho=(0, x, 0))
 
 
 def test_fused_events_and_word():

@@ -578,8 +578,11 @@ def test_length_above_ceiling_exits_two(capsys, argv):
         ["word", "fib"],
         *(["billiard", "code", "--d", "1,1,0", "--rho", "0,0,0", "--format", fmt]
           for fmt in ("text", "json", "csv")),
+        *(["analyze", analyzer, "0100101"]
+          for analyzer in ("complexity", "balance", "sturmian", "wse")),
     ],
-    ids=["word-fib", "billiard-text", "billiard-json", "billiard-csv"],
+    ids=["word-fib", "billiard-text", "billiard-json", "billiard-csv",
+         "analyze-complexity", "analyze-balance", "analyze-sturmian", "analyze-wse"],
 )
 def test_negative_length_exits_two(capsys, argv):
     code, out, err = _run(capsys, *argv, "--length", "-1")

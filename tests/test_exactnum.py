@@ -169,14 +169,16 @@ def test_parse_number_rejects(text):
         parse_number(text)
 
 
-@pytest.mark.parametrize("key", [2.5, 4.0, True, False, Fraction(4), "4"])
+@pytest.mark.parametrize("key", [2.5, 4.0, True, False, Fraction(4), "4", 0, -1])
 def test_square_root_keys_are_ints(key):
     # A float key once built a value whose sign() raised TypeError (2.5) or
-    # a key 1.0 (4.0), and True passed as the key 1.
+    # a key 1.0 (4.0), and True passed as the key 1.  A zero coefficient
+    # once skipped the key check.
     with pytest.raises(ValueError, match="must be a positive integer"):
         sqrt(key)
-    with pytest.raises(ValueError, match="must be a positive integer"):
-        SqrtBasisNumber({key: 1})
+    for coefficient in (1, 0):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            SqrtBasisNumber({key: coefficient})
     assert sqrt(4) == SqrtBasisNumber({4: 1}) == rational(2)
     assert sqrt(8) == SqrtBasisNumber({2: 2})
 
@@ -244,11 +246,31 @@ def test_division_by_zero_raises():
 
 @pytest.mark.parametrize("other", [0.5, None, "a"])
 def test_foreign_operands_raise_type_error(other):
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(TypeError):
             op(other, sqrt(2))
         with pytest.raises(TypeError):
             op(sqrt(2), other)
+    # Equality is defined for every operand: a foreign one is never equal.
+    for x in (sqrt(2), rational(0)):
+        assert (x == other, other == x, x != other, other != x) == (False, False, True, True)
+
+
+@pytest.mark.parametrize("q", [0, 3, -7, Fraction(1, 2), Fraction(-7, 3)])
+def test_int_and_fraction_operands_embed_as_rational(q):
+    x = sqrt(2) + rational(Fraction(1, 3))
+    pairs = [
+        (x + q, x + rational(q)), (q + x, rational(q) + x),
+        (x - q, x - rational(q)), (q - x, rational(q) - x),
+        (x * q, x * rational(q)), (q * x, rational(q) * x), (q / x, rational(q) / x),
+    ]
+    if q:
+        pairs.append((x / q, x / rational(q)))
+    for got, want in pairs:
+        assert type(got) is SqrtBasisNumber and got == want
+    assert rational(q) == q and q == rational(q) and not rational(q) != q
+    assert x != q and q != x and (x > q) == (x > rational(q)) and (q < x) == (rational(q) < x)
 
 
 # A reference on {square-free key: Fraction} dicts, independent of the

@@ -54,6 +54,12 @@ def test_package_import_loads_no_submodule():
     assert _library(modules) == set()
 
 
+def test_exactnum_import_loads_no_ast():
+    # parse_number imports ast when it is called, not when the module loads.
+    _, modules = _modules_after("import sturmian_erasures.exactnum")
+    assert "sturmian_erasures.exactnum" in modules and "ast" not in modules
+
+
 def test_cli_import_loads_only_cli():
     _, modules = _modules_after("import sturmian_erasures.cli")
     assert _library(modules) == {"sturmian_erasures.cli"}

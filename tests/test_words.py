@@ -382,6 +382,20 @@ def test_mechanical_range_errors():
         mechanical_stream(parse_number("1/2"), rational(1))
     with pytest.raises(ValueError):
         mechanical_stream(0.5, rational(0))
+    # Each end of the range, and values within 3e-28 of one.
+    near = parse_number("sqrt(2)-1414213562373095048801688724/1000000000000000000000000000")
+    inside = {near, 1 - near}
+    for x in (rational(0), rational(1), near, -near, 1 - near, 1 + near):
+        if x in inside:
+            assert mechanical_stream(x, rational(0)).prefix(20) == _floor_word(x, 0, 20)
+        else:
+            with pytest.raises(ValueError, match="alpha must satisfy 0 < alpha < 1"):
+                mechanical_stream(x, rational(0))
+        if x in inside or x == 0:
+            assert mechanical_stream(near, x).prefix(20) == _floor_word(near, x, 20)
+        else:
+            with pytest.raises(ValueError, match="rho must satisfy 0 <= rho < 1"):
+                mechanical_stream(near, x)
 
 
 def test_apply_stream():
