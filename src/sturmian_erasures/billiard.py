@@ -59,7 +59,7 @@ class CrossingEvent(Record):
 
 def _config_times(config):
     """{i: (x_i, y_i)}, x_i = 1/d_i and y_i = rho_i/d_i, over the moving i."""
-    xs = {i: 1 / d for i, d in enumerate(config.d) if d.sign() > 0}
+    xs = {i: 1 / d for i, d in enumerate(config.d) if not d.is_zero()}
     return {i: (x, config.rho[i] * x) for i, x in xs.items()}
 
 
@@ -67,9 +67,10 @@ class _Crossings:
     """Coordinate i = moving[pos] crosses x = m at t = m*x_i - y_i from m = 1
     if y_i else 0, (x_i, y_i) = times[i] with 0 <= y_i <= x_i; table[pos] =
     [(key, X, Y), ...] over one sorted key list, x_i = sum(X*sqrt(key))/den and
-    y_i likewise.  Enclosures lo[pos] <= 2**k * den * t <= hi[pos] of the time t
-    at which coordinate moving[pos] next crosses x = counters[pos]; each
-    crossing moves them on by steps[pos], the enclosure of x_i.
+    y_i likewise.  lo[pos] <= 2**k * den * t <= lo[pos] + a + m*b encloses
+    the time t at which coordinate moving[pos] next crosses x = m =
+    counters[pos], (a, b) = spans[pos]; each crossing moves lo[pos] on by
+    steps[pos], the lower bound of 2**k * den * x_i.
 
     The coordinates fall into line classes.  In a class every x_i row is a
     positive multiple P*v of one primitive integer row v, and the y_i rows
@@ -82,13 +83,14 @@ class _Crossings:
     when their n are, and then so are their lower bounds, so _batch()
     passes such ties by; _exact, the sign of a time-row difference, is the
     only exact order test.  A class of one keeps the tight enclosure of its
-    first crossing, as its t0 is that crossing.  The widths hi - lo and
-    w - s do not depend on k, and steps grow as 2**k: a 64-bit reading of
-    the shortest step s sets k, the least k >= 1 with 2**(k-64)*s >=
-    max(4*(W + 2), W << 20) for W = width().  _batch() still doubles k >= 1
-    while 4*(W + 1) > s, so each batch starts from 4*(W + 1) <= s, and its
-    proofs that no cluster holds two crossings of one coordinate and that
-    every batch commits need no more.
+    first crossing, as its t0 is that crossing.  At any k a row encloses
+    to a width of the sum of |c| over its irrational keys, t for t0 and v
+    for v, so a member's enclosure is t + n*v = a + m*b wide.  Steps grow
+    as 2**k: a 64-bit reading of the shortest step s sets k, the least
+    k >= 1 with 2**(k-64)*s >= max(4*(W + 2), W << 20) for W = width().
+    _batch() still doubles k >= 1 while 4*(W + 1) > s, so each batch
+    starts from 4*(W + 1) <= s, and its proofs that no cluster holds two
+    crossings of one coordinate and that every batch commits need no more.
 
     A direction is one distinct v; directions counts them, and classify()
     reads it.  One direction makes the word purely periodic.  First, the
@@ -136,108 +138,101 @@ class _Crossings:
         span = math.lcm(*(p for _, p, _ in self.lines))
         period = sum(span // p for _, p, _ in self.lines) if self.directions == 1 else 0
         self.period = period if period <= 4096 else 0  # longer ones stay on the batches
-        self.head, self.ring = "", ""
-        # Class rows of v and t0, zero coefficients dropped.  An enclosure of a
-        # row is as wide as the sum of |c| over its irrational keys at any k,
-        # so the widths come from the rows and only the steps are read at 64 bits.
+        self.ring, self.at = "", 0
+        # Class rows of v and t0, zero coefficients dropped.
         self.rows = [[{key: c for key, c in zip(keys, row) if c}
                       for row in (v, [n * x - a for x, a in zip(v, y)])]
                      for (v, y), (_, n) in bases.items()]
         spreads = [[sum(map(abs, r.values())) - abs(r.get(1, 0)) for r in rs] for rs in self.rows]
-        width = max(t + (m * p - c + 4112 * p) * v
-                    for m, (cls, p, c) in zip(self.counters, self.lines) for v, t in [spreads[cls]])
+        self.spans = [(t - c * v, p * v) for cls, p, c in self.lines for v, t in [spreads[cls]]]
+        width = self.width()
         need = max(4 * (width + 2), width << 20) << 64
         s = min(p * _enclose(self.rows[cls][0], 64)[0] for cls, p, _ in self.lines)
         self._enclose_at(max(1, (-(-need // s) - 1).bit_length()))
 
     def width(self):
         """The widest enclosure, grown by the 4112 steps a batch can add."""
-        return max(h - l + 4112 * (w - s) for l, h, (s, w) in zip(self.lo, self.hi, self.steps))
+        return max(a + (m + 4112) * b for m, (a, b) in zip(self.counters, self.spans))
 
     def _enclose_at(self, k):
-        """Enclose the next crossings at precision 2**k, each member of a
-        class as enclose(t0) + n*enclose(v)."""
-        bounds = [(_enclose(v, k), _enclose(t0, k)) for v, t0 in self.rows]
-        self.k, self.steps, self.lo, self.hi = k, [], [], []
+        """Lower bounds of the next crossings at precision 2**k, each member
+        of a class as enclose(t0) + n*enclose(v)."""
+        bounds = [(_enclose(v, k)[0], _enclose(t0, k)[0]) for v, t0 in self.rows]
+        self.k, self.steps, self.lo = k, [], []
         for m, (cls, p, c) in zip(self.counters, self.lines):
-            (vs, vw), (ts, tw) = bounds[cls]
-            n = m * p - c
-            self.steps.append((p * vs, p * vw))
-            self.lo.append(ts + n * vs)
-            self.hi.append(tw + n * vw)
-        self.shortest, self.top = min(s for s, _ in self.steps), max(s for s, _ in self.steps) << 8
-        self.horizon = sum(self.top // s for s, _ in self.steps)
+            vs, ts = bounds[cls]
+            self.steps.append(p * vs)
+            self.lo.append(ts + (m * p - c) * vs)
 
     def _exact(self, u, v, base):
         """The exact order of two crossings tagged from base: the sign of the
         difference of their integer time rows, ties in coordinate order.  It
         is the only exact order test."""
         a, b = self.moving.index((u & 63) - 48), self.moving.index((v & 63) - 48)
-        ma = self.counters[a] + ((u >> 6) + base - self.lo[a]) // self.steps[a][0]
-        mb = self.counters[b] + ((v >> 6) + base - self.lo[b]) // self.steps[b][0]
+        ma = self.counters[a] + ((u >> 6) + base - self.lo[a]) // self.steps[a]
+        mb = self.counters[b] + ((v >> 6) + base - self.lo[b]) // self.steps[b]
         return _sign_of({
             key: ma * xa - ya - mb * xb + yb
             for (key, xa, ya), (_, xb, yb) in zip(self.table[a], self.table[b])
         }) or a - b
 
     def letters(self, need):
-        """The letters of the next events: about max(need, 256) of them, at
-        most about 4096, and always at least one event's block.  A period
-        of at most 4096 letters is ordered once by the batches and then
-        repeated, min(max(need, 256), 4096) letters a call."""
-        if self.ring:
-            n, at = min(max(need, 256), 4096), self.at
-            self.at = (at + n) % self.period
-            return self.ring[at : at + n]
-        word = self._batch(need)
-        if self.period:
-            self.head += word
-            if len(self.head) >= self.period:
-                self.at = len(self.head) % self.period
-                self.ring = self.head[: self.period] * (4096 // self.period + 2)
-        return word
+        """About n letters of the next events, n = need clamped to [256, 4096].
+        A period of at most 4096 letters is ordered by the batches on the
+        first call, and the ring then serves n letters a call."""
+        n = min(max(need, 256), 4096)
+        if self.period and not self.ring:
+            word = ""
+            while len(word) < self.period:
+                word += self._batch(n)
+            self.ring = word[: self.period] * (4096 // self.period + 2)
+        if not self.ring:
+            return self._batch(n)
+        at, self.at = self.at, (self.at + n) % self.period
+        return self.ring[at : at + n]
 
-    def _batch(self, need):
-        """One batch of the ordering path, which letters() returns.
+    def _batch(self, n):
+        """One batch of about n letters of the ordering path.
 
         Each coordinate's lower bounds form a progression.  Below a horizon
         c it adds its crossings and one sentinel at or past c, each tagged
         64*(lo - base) + ord(letter), base the least lower bound (a shift
         of 64*lo + ord(letter), so order and gaps are kept), and one sort
-        merges them.  With W the widest enclosure, bounds more than W apart
-        are in certain order, and runs of closer ones (clusters) are
-        re-sorted by _exact, the only exact order test.  The links of the
-        clusters are the neighbours whose tagged gap is at most 64W + 63,
-        so when one pass finds the least gap above that, the batch has no
-        cluster and no link list is built; otherwise the list comes from
-        the same gaps, and holds the same links.  Two neighbours
+        merges them.  With s the shortest step, c lies at least 85*s past
+        the least lower bound (a third of 256 steps) and under 4112 steps
+        past any, so W = width() bounds every enclosure the batch reaches.
+        Bounds more than W apart are in certain order, and runs of closer
+        ones (clusters) are re-sorted by _exact, the only exact order test.
+        The links of the clusters are the neighbours whose tagged gap is at
+        most 64W + 63, so when one pass finds the least gap above that, the
+        batch has no cluster and no link list is built; otherwise the list
+        comes from the same gaps, and holds the same links.  Two neighbours
         with equal lower bounds on one line are an exact tie, which the
         sort already put in coordinate order, so they are not compared.
         What precedes the first sentinel's cluster is committed.
 
-        With s the shortest step, c lies at least 85*s past the least lower
-        bound (a third of 256 steps) and under 4112 steps past any.  The
-        precision is doubled until the enclosures, grown by 4112 steps,
-        give 4*(W + 1) <= s.  Linked neighbours lie at most W + 1 apart, so
-        no cluster holds two crossings of one coordinate or spans over half
-        a step: the first sentinel's cluster never reaches the least lower
+        W does not depend on k, and the precision is doubled until
+        4*(W + 1) <= s.  Linked neighbours lie at most W + 1 apart, so no
+        cluster holds two crossings of one coordinate or spans over half a
+        step: the first sentinel's cluster never reaches the least lower
         bound, and every batch commits.  Tags stay under 64*(S + 4112*s),
         S the longest step, a bound set by k alone: a sentinel at or past c
         lies under c + S, and any other is a next lower bound, under base +
         S + 2*W as the crossing before it is committed or before 0; and
         c - base < 4112*s, 4*W < s.
         """
-        while 4 * (self.width() + 1) > self.shortest:
+        width = self.width()
+        while 4 * (width + 1) > min(self.steps):
             self._enclose_at(2 * self.k)
-        lo, hi, steps, base = self.lo, self.hi, self.steps, min(self.lo)
-        c = min(max(need, 256), 4096) * self.top // self.horizon
-        ranges, sentinels, width = [], [], 0
+        lo, steps, base = self.lo, self.steps, min(self.lo)
+        top = max(steps) << 8
+        c = n * top // sum(top // s for s in steps)
+        ranges, sentinels = [], []
         for pos, i in enumerate(self.moving):
-            (s, w), first = steps[pos], lo[pos] - base
+            s, first = steps[pos], lo[pos] - base
             k = max(0, -((first - c) // s))  # crossings with lower bound below c
             sentinels.append(64 * (first + k * s) + 48 + i)
             ranges.append(range(64 * first + 48 + i, sentinels[-1] + 1, 64 * s))
-            width = max(width, hi[pos] - lo[pos] + k * (w - s))
         merged = sorted(chain(*ranges))
         end = bisect_left(merged, min(sentinels))
         # A tagged gap above 64W + 63 is a gap above W between lower
@@ -260,10 +255,9 @@ class _Crossings:
                 at -= 1
         word = bytes(map(mod, merged, repeat(64, end))).decode()
         for pos, i in enumerate(self.moving):
-            n = word.count(str(i))
-            self.counters[pos] += n
-            lo[pos] += n * steps[pos][0]
-            hi[pos] += n * steps[pos][1]
+            j = word.count(str(i))
+            self.counters[pos] += j
+            lo[pos] += j * steps[pos]
         return word
 
 
@@ -327,7 +321,7 @@ def mechanical_stream(alpha, rho):
         raise ValueError("alpha must satisfy 0 < alpha < 1")
     if rho.floor():
         raise ValueError("rho must satisfy 0 <= rho < 1")
-    head, rho = ("", rho) if rho.sign() else ("0", alpha)
+    head, rho = ("0", alpha) if rho.is_zero() else ("", rho)
     beta, zero = 1 - alpha, rational(0)
     y0, y1 = (rho, zero) if (rho - beta).sign() < 0 else (zero, 1 - rho)
     crossings = _Crossings({0: (beta, y0), 1: (alpha, y1)})

@@ -228,15 +228,19 @@ class SqrtBasisNumber:
             return hash(Fraction(self._ints.get(1, 0), self._den))
         return hash((self._den, *sorted(self._ints.items())))
 
+    @_operand
     def __lt__(self, other):
         return (self - other).sign() < 0
 
+    @_operand
     def __le__(self, other):
         return (self - other).sign() <= 0
 
+    @_operand
     def __gt__(self, other):
         return (self - other).sign() > 0
 
+    @_operand
     def __ge__(self, other):
         return (self - other).sign() >= 0
 

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -309,17 +310,19 @@ def test_line_order_matches_exact_sign(config):
                    for (key, xa, ya), (_, xb, yb) in zip(table[a], table[b])}
             sign = _sign_of(row)
             assert (na > nb) - (na < nb) == sign
-            lo_a = crossings.lo[a] + ja * crossings.steps[a][0]
-            lo_b = crossings.lo[b] + jb * crossings.steps[b][0]
+            lo_a = crossings.lo[a] + ja * crossings.steps[a]
+            lo_b = crossings.lo[b] + jb * crossings.steps[b]
             assert (lo_a > lo_b) - (lo_a < lo_b) == sign
             # _exact reads the same order off lower bounds tagged from 0.
             tag_a, tag_b = (64 * lo + 48 + crossings.moving[pos] for lo, pos in [(lo_a, a), (lo_b, b)])
             assert crossings._exact(tag_a, tag_b, 0) == (sign or a - b)
     for pos, row in enumerate(table):
-        (s, w), m = crossings.steps[pos], counters[pos]
+        s, m, (a, b) = crossings.steps[pos], counters[pos], crossings.spans[pos]
         for j in range(41):
             scaled = {key: (m + j) * x - y << crossings.k for key, x, y in row}
-            lo, hi = crossings.lo[pos] + j * s, crossings.hi[pos] + j * w
+            # Only lower bounds are kept: the upper end is lo + a + m*b.
+            lo = crossings.lo[pos] + j * s
+            hi = lo + a + (m + j) * b
             assert _sign_of({**scaled, 1: scaled.get(1, 0) - lo}) >= 0
             assert _sign_of({**scaled, 1: scaled.get(1, 0) - hi}) <= 0
 
@@ -354,9 +357,9 @@ def _exact_calls(config, length, overlapping=False):
         bounds = []
         for tag in (u, v):
             pos = crossings.moving.index((tag & 63) - 48)
-            (s, w), lo = crossings.steps[pos], crossings.lo[pos]
+            s, lo, (a, b) = crossings.steps[pos], crossings.lo[pos], crossings.spans[pos]
             j = ((tag >> 6) + base - lo) // s
-            bounds.append((lo + j * s, crossings.hi[pos] + j * w))
+            bounds.append((lo + j * s, lo + j * s + a + (crossings.counters[pos] + j) * b))
         (lo_a, hi_a), (lo_b, hi_b) = bounds
         if not overlapping or (lo_a <= hi_b and lo_b <= hi_a):
             calls.append((u, v))
@@ -375,14 +378,14 @@ def test_precision_rule_picks_the_least_k_with_the_margin(config):
     k, width = crossings.k, crossings.width()
     at_64 = _Crossings(_config_times(config))
     at_64._enclose_at(64)
-    s = min(s for s, _ in at_64.steps)
+    s = min(at_64.steps)
     # The widths do not depend on k; the rule scales the 64-bit shortest step.
     assert at_64.width() == width
     need = max(4 * (width + 2), width << 20)
     assert s << k >= need << 64
     assert k == 1 or s << (k - 1) < need << 64
     # The quarter-step certificate holds at k, so the first batch keeps it.
-    assert 4 * (width + 1) <= min(s for s, _ in crossings.steps)
+    assert 4 * (width + 1) <= min(crossings.steps)
     crossings.letters(256)
     assert crossings.k == k
     if all(x.is_rational() for x in config.d + config.rho):
@@ -459,13 +462,41 @@ def test_batch_tags_stay_under_a_bound_set_by_k(monkeypatch):
     monkeypatch.setattr(billiard_module, "sorted", recording_sorted, raising=False)
     crossings = _Crossings(_config_times(_config(["1", "sqrt(2)", "sqrt(3)"], ["1/3", "1/5", "1/7"])))
     k = crossings.k
-    bound = 64 * (max(s for s, _ in crossings.steps) + 4112 * min(s for s, _ in crossings.steps))
+    bound = 64 * (max(crossings.steps) + 4112 * min(crossings.steps))
     done = len(crossings.letters(256))
     assert tops[-1] < bound
     while done < 10**6:
         done += len(crossings.letters(4096))
     crossings.letters(4096)
     assert crossings.k == k and max(tops) < bound
+
+
+def test_sentinel_cluster_trim_keeps_the_word(monkeypatch):
+    # At the least k with 4*(W + 1) <= s, W is near a quarter step, so
+    # clusters are common and some batches end on one: the links into the
+    # first sentinel's cluster are popped and its crossings wait for the
+    # next batch.
+    ends = []
+
+    def recording_bisect_left(merged, sentinel):
+        ends.append(bisect.bisect_left(merged, sentinel))
+        return ends[-1]
+
+    monkeypatch.setattr(billiard_module, "bisect_left", recording_bisect_left)
+    config = _config(["1", "sqrt(2)", "sqrt(3)"], ["1/3", "1/5", "1/7"])
+    crossings = _Crossings(_config_times(config))
+    k = 1
+    crossings._enclose_at(k)
+    while 4 * (crossings.width() + 1) > min(crossings.steps):
+        k += 1
+        crossings._enclose_at(k)
+    word, trims = "", 0
+    for _ in range(40):
+        batch = crossings.letters(256)
+        trims += len(batch) < ends[-1]
+        word += batch
+    assert trims >= 1
+    assert word == _event_word(config, len(word))
 
 
 def test_tie_config_fuses_events():

@@ -162,7 +162,8 @@ def test_parse_number_examples():
 
 @pytest.mark.parametrize(
     "text",
-    ["sqrt(-1)", "sqrt(0)", "2**3", "sqrt(x)", "pi", "1/0", "1 +", "sqrt(1/2 + 1)", "1.5", "True"],
+    ["sqrt(-1)", "sqrt(0)", "2**3", "sqrt(x)", "pi", "1/0", "1 +", "sqrt(1/2 + 1)", "1.5", "True",
+     "sqrt(sqrt(2))"],
 )
 def test_parse_number_rejects(text):
     with pytest.raises(ValueError):
@@ -246,11 +247,16 @@ def test_division_by_zero_raises():
 
 @pytest.mark.parametrize("other", [0.5, None, "a"])
 def test_foreign_operands_raise_type_error(other):
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
-               operator.lt, operator.le, operator.gt, operator.ge):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(TypeError):
             op(other, sqrt(2))
         with pytest.raises(TypeError):
+            op(sqrt(2), other)
+    # A comparison names the operator written, not a subtraction.
+    for op, symbol in ((operator.lt, "<"), (operator.le, "<="), (operator.gt, ">"), (operator.ge, ">=")):
+        with pytest.raises(TypeError, match=f"^'{symbol}' not supported between instances"):
+            op(other, sqrt(2))
+        with pytest.raises(TypeError, match=f"^'{symbol}' not supported between instances"):
             op(sqrt(2), other)
     # Equality is defined for every operand: a foreign one is never equal.
     for x in (sqrt(2), rational(0)):
