@@ -53,9 +53,6 @@ class CrossingEvent(Record):
     t: SqrtBasisNumber
     omega: tuple
 
-    def to_json(self):
-        return {"t": str(self.t), "omega": list(self.omega)}
-
 
 def _config_times(config):
     """{i: (x_i, y_i)}, x_i = 1/d_i and y_i = rho_i/d_i, over the moving i."""

@@ -9,7 +9,8 @@ long, and `analyze` refuses an input longer than its --length.
 
 Every command is one handler in COMMANDS.  A handler returns
 (exit code, JSON payload, text lines, CSV rows or None), and `_emit` prints
-the view that --format selects.  Handlers reach the library through the
+the view that --format selects.  Library records are plain data: each view
+of one is built here, by the handler that prints it.  Handlers reach the library through the
 package's lazy exports, so a command loads only the modules it runs.
 """
 
@@ -136,7 +137,7 @@ def _cmd_analyze_complexity(args):
     profile = lib.complexity(word, max_n)
     counts = sorted(profile.counts.items())
     lines = [f"P({n}) = {count}" for n, count in counts]
-    return 0, profile.to_json(), lines, [("n", "count"), *counts]
+    return 0, {str(n): count for n, count in counts}, lines, [("n", "count"), *counts]
 
 
 def _cmd_analyze_balance(args):
@@ -148,12 +149,19 @@ def _cmd_analyze_balance(args):
     return 0, payload, lines, [("n", "imbalance"), *imbalance]
 
 
+def _sturmian(verdict):
+    """The JSON view of a SturmianVerdict, alone or as one erasure of a WSEVerdict."""
+    if verdict.consistent:
+        return {"verdict": "consistent", "coverage": verdict.coverage}
+    return {"verdict": "refuted", "witness": verdict.witness}
+
+
 def _cmd_analyze_sturmian(args):
     word, max_n = _analysis_input(args)
     verdict = lib.sturmian_verdict(lib.complexity(word, max_n), lib.balance_order(word, max_n))
     ok = verdict.consistent
     line = f"Consistent up to n = {verdict.coverage}" if ok else f"Refuted: {verdict.witness}"
-    return 0 if ok else 1, verdict.to_json(), [line], None
+    return 0 if ok else 1, _sturmian(verdict), [line], None
 
 
 def _cmd_analyze_wse(args):
@@ -166,7 +174,10 @@ def _cmd_analyze_wse(args):
         for i, sub in verdict.per_erasure.items()
     ]
     lines.append("Consistent" if verdict.consistent else f"Refuted: {verdict.witness}")
-    return 0 if verdict.consistent else 1, verdict.to_json(), lines, None
+    payload = {"verdict": "consistent" if verdict.consistent else "refuted",
+               "witness": verdict.witness,
+               "erasures": {i: _sturmian(sub) for i, sub in verdict.per_erasure.items()}}
+    return 0 if verdict.consistent else 1, payload, lines, None
 
 
 def _cmd_morphism_apply(args):
@@ -185,9 +196,10 @@ def _cmd_morphism_compose(args):
 
 def _cmd_morphism_matrix(args):
     m = lib.incidence(lib.parse_morphism(args.spec))
-    payload = {"rows": m.to_lists(), "row_letters": m.row_letters, "col_letters": m.col_letters}
-    lines = [" ".join(str(x) for x in row) for row in m.rows]
-    return 0, payload, lines, [list(m.col_letters), *m.to_lists()]
+    rows = [list(row) for row in m.rows]
+    payload = {"rows": rows, "row_letters": m.row_letters, "col_letters": m.col_letters}
+    lines = [" ".join(map(str, row)) for row in rows]
+    return 0, payload, lines, [list(m.col_letters), *rows]
 
 
 def _cmd_morphism_det(args):
@@ -210,23 +222,27 @@ def _cmd_morphism_classify(args):
 def _cmd_st_decompose(args):
     outcome = lib.st_membership(lib.parse_morphism(args.spec))
     if isinstance(outcome, lib.StRejection):
-        return 1, outcome.to_json(), [f"Rejected: {outcome.reason} ({outcome.detail})"], None
+        payload = {"rejected": outcome.reason, "detail": outcome.detail}
+        return 1, payload, [f"Rejected: {outcome.reason} ({outcome.detail})"], None
     lines = [f"factors: {','.join(outcome.factors) or 'id'}", f"degree: {outcome.degree}"]
-    return 0, outcome.to_json(), lines, None
+    return 0, list(outcome.factors), lines, None
 
 
 def _cmd_mse_check(args):
     verdict = lib.mse_membership(lib.parse_morphism(args.spec))
     if verdict.kind == "permutation":
-        lines = ["Permutation"]
+        payload, lines = {"verdict": "permutation"}, ["Permutation"]
     elif verdict.kind == "erasing-member":
+        certificates = verdict.certificates.items()
+        payload = {"verdict": "erasing-member", "erased": verdict.erased,
+                   "certificates": {j: list(cert.factors) for j, cert in certificates}}
         lines = [f"ErasingMember (erases {verdict.erased})"] + [
-            f"erasure {j}: {','.join(cert.factors) or 'id'}"
-            for j, cert in verdict.certificates.items()
+            f"erasure {j}: {','.join(cert.factors) or 'id'}" for j, cert in certificates
         ]
     else:
+        payload = {"verdict": "rejected", "reason": verdict.reason, "witness": verdict.witness}
         lines = [f"Rejected: {verdict.reason} ({verdict.witness})"]
-    return 0 if verdict.accepted else 1, verdict.to_json(), lines, None
+    return 0 if verdict.accepted else 1, payload, lines, None
 
 
 def _cmd_mse_prime(args):
@@ -238,11 +254,13 @@ def _cmd_mse_prime(args):
         return 1, {"verdict": "rejected", "reason": reason}, [f"Rejected: {reason}"], None
     verdict = lib.primality(f)
     label = verdict.kind.title().replace("-", "")  # prime-certified -> PrimeCertified
+    payload = {"verdict": verdict.kind, "note": verdict.note}
     lines = [f"{label}: {verdict.note}" if verdict.note else label]
     if verdict.g_factor is not None:
-        lines.append(f"g: {lib.format_morphism(verdict.g_factor)}")
-        lines.append(f"h: {lib.format_morphism(verdict.h_factor)}")
-    return 0, verdict.to_json(), lines, None
+        payload["g"] = lib.format_morphism(verdict.g_factor)
+        payload["h"] = lib.format_morphism(verdict.h_factor)
+        lines += [f"g: {payload['g']}", f"h: {payload['h']}"]
+    return 0, payload, lines, None
 
 
 def _psi_ceiling():
@@ -282,8 +300,9 @@ def _cmd_billiard_code(args):
     # All three views are lazy: only the one printed is ever generated, and
     # the event log is written event by event, so memory stays flat in --length.
     word = lib.billiard_word(config)
-    log = (e.to_json() for e in islice(lib.event_stream(config), length))
-    rows = chain([("t", "omega")], ([e["t"], "".join(map(str, e["omega"]))] for e in log))
+    events = islice(lib.event_stream(config), length)
+    log = ({"t": str(e.t), "omega": list(e.omega)} for e in events)
+    rows = chain([("t", "omega")], ([str(e.t), "".join(map(str, e.omega))] for e in events))
     return 0, log, map(word.prefix, [length]), rows
 
 

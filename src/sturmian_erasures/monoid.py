@@ -34,16 +34,10 @@ class StCertificate(Record):
     def degree(self):
         return sum(1 for name in self.factors if name != "E")
 
-    def to_json(self):
-        return list(self.factors)
-
 
 class StRejection(Record):
     reason: str  # "erasing" | "determinant" | "no-decomposition"
     detail: str = ""
-
-    def to_json(self):
-        return {"rejected": self.reason, "detail": self.detail}
 
 
 def _undo(w, block):

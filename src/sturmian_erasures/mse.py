@@ -11,21 +11,9 @@ Sturmian projections force every image word back into the erasure class.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from . import _EXPORTS
 from .monoid import StRejection, _decide
-from .morphisms import (
-    A3,
-    E0,
-    E2,
-    PHI1,
-    PHIT1,
-    PI2,
-    Morphism,
-    compose,
-    format_morphism,
-)
+from .morphisms import A3, Morphism
 from .records import Record
 
 __all__ = _EXPORTS["mse"]
@@ -47,19 +35,6 @@ class MSEVerdict(Record):
     @property
     def accepted(self):
         return self.kind != "rejected"
-
-    def to_json(self):
-        if self.kind == "permutation":
-            return {"verdict": "permutation"}
-        if self.kind == "erasing-member":
-            return {
-                "verdict": "erasing-member",
-                "erased": self.erased,
-                "certificates": {
-                    j: cert.to_json() for j, cert in self.certificates.items()
-                },
-            }
-        return {"verdict": "rejected", "reason": self.reason, "witness": self.witness}
 
 
 # Per erased letter j: delete j, recode the other two letters in order to 0, 1.
@@ -147,8 +122,7 @@ def intercalate(u, v, w):
 
 class PsiFamily(Record):
     """The n-th member of the prime family together with its three
-    generator-product components (f from erasing 2, g from erasing 1, h from
-    erasing 0)."""
+    components, its erasures: f erases 2, g erases 1 and h erases 0."""
 
     n: int
     psi: Morphism
@@ -159,8 +133,10 @@ class PsiFamily(Record):
 
 def psi(n):
     """Construct psi_n from its table for n <= 2 and the doubling recurrence
-    afterwards; the three components are built independently from generator
-    products and the projection identities are checked on construction."""
+    afterwards, and its components by erasing 2, 1 and 0 from its images.
+    They are the generator products phi1^n, E0 phit1 E2 phit1^(n-1) and
+    E2 E0 phit1^(n-1), each with 2 then erased; the tests check this for
+    n <= 12."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("psi is defined for n >= 1")
     table = {1: ("01", "20"), 2: ("2010", "01")}
@@ -170,28 +146,8 @@ def psi(n):
         table[m] = (a2 + b2 + a2, table[m - 1][0])
         m += 1
     images = {"0": table[n][0], "1": table[n][1], "2": ""}
-    psi_n = Morphism(images)
-
-    f_n = PHI1**n
-    tail = PHIT1 ** (n - 1)
-    g_n = reduce(compose, [E0, PHIT1, E2, tail])
-    h_n = reduce(compose, [E2, E0, tail])
-    # The raw products act on the letter 2 through the permutation factors
-    # (visible only for n = 1); silencing 2 on the right restores the
-    # erasing shape without touching the images of 0 and 1.
-    f_n = compose(f_n, PI2)
-    g_n = compose(g_n, PI2)
-    h_n = compose(h_n, PI2)
-
-    for a in A3:
-        image = psi_n.images[a]
-        if (
-            image.replace("2", "") != f_n.images[a]
-            or image.replace("1", "") != g_n.images[a]
-            or image.replace("0", "") != h_n.images[a]
-        ):
-            raise RuntimeError(f"projection identity failed for psi_{n} on {a!r}")
-    return PsiFamily(n=n, psi=psi_n, f=f_n, g=g_n, h=h_n)
+    f, g, h = (Morphism({a: w.replace(x, "") for a, w in images.items()}) for x in "210")
+    return PsiFamily(n=n, psi=Morphism(images), f=f, g=g, h=h)
 
 
 class PrimalityVerdict(Record):
@@ -201,13 +157,6 @@ class PrimalityVerdict(Record):
     note: str = ""
     g_factor: Morphism | None = None
     h_factor: Morphism | None = None
-
-    def to_json(self):
-        out = {"verdict": self.kind, "note": self.note}
-        if self.g_factor is not None:
-            out["g"] = format_morphism(self.g_factor)
-            out["h"] = format_morphism(self.h_factor)
-        return out
 
 
 def _prefix_or_suffix(a, b):

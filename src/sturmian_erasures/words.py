@@ -175,9 +175,6 @@ class ComplexityProfile(Record):
     counts: dict
     prefix_length: int
 
-    def to_json(self):
-        return {str(n): self.counts[n] for n in sorted(self.counts)}
-
 
 class BalanceProfile(Record):
     """imbalance[n] = max over letters of (max - min) letter count over
@@ -303,11 +300,6 @@ class SturmianVerdict(Record):
     witness: str | None = None
     coverage: int | None = None
 
-    def to_json(self):
-        if self.consistent:
-            return {"verdict": "consistent", "coverage": self.coverage}
-        return {"verdict": "refuted", "witness": self.witness}
-
 
 def sturmian_verdict(profile, balance):
     if profile.prefix_length != balance.prefix_length:
@@ -336,13 +328,6 @@ class WSEVerdict(Record):
     consistent: bool
     per_erasure: dict
     witness: str | None = None
-
-    def to_json(self):
-        return {
-            "verdict": "consistent" if self.consistent else "refuted",
-            "witness": self.witness,
-            "erasures": {i: v.to_json() for i, v in self.per_erasure.items()},
-        }
 
 
 def wse_verdict(prefix, max_n):

@@ -135,21 +135,21 @@ def test_criterion_05_psi_family():
                 assert family.f.images[a].count("0") == family.g.images[a].count("0")
                 assert family.f.images[a].count("1") == family.h.images[a].count("1")
                 assert family.g.images[a].count("2") == family.h.images[a].count("2")
-            assert incidence(family.g).to_lists() == [
-                [u[n + 1], u[n], 0],
-                [0, 0, 0],
-                [u[n - 1], u[n - 2], 0],
-            ]
-            assert incidence(family.h).to_lists() == [
-                [0, 0, 0],
-                [u[n], u[n - 1], 0],
-                [u[n - 1], u[n - 2], 0],
-            ]
-        assert incidence(family.f).to_lists() == [
-            [u[n + 1], u[n], 0],
-            [u[n], u[n - 1], 0],
-            [0, 0, 0],
-        ]
+            assert incidence(family.g).rows == (
+                (u[n + 1], u[n], 0),
+                (0, 0, 0),
+                (u[n - 1], u[n - 2], 0),
+            )
+            assert incidence(family.h).rows == (
+                (0, 0, 0),
+                (u[n], u[n - 1], 0),
+                (u[n - 1], u[n - 2], 0),
+            )
+        assert incidence(family.f).rows == (
+            (u[n + 1], u[n], 0),
+            (u[n], u[n - 1], 0),
+            (0, 0, 0),
+        )
     elapsed = time.perf_counter() - t0
     _report(5, "prime family tables, identities and matrices", elapsed, 1.0)
 

@@ -361,6 +361,14 @@ def test_mse_prime_wrong_alphabet_is_an_input_error(capsys):
         assert err == "error: mse_membership expects a morphism on 012\n"
 
 
+def test_spec_with_a_bad_image_letter_exits_two(capsys):
+    # parse_morphism leaves the image letters to Morphism, whose message this is.
+    for spec, letter, image in (("0=03,1=1", "0", "03"), ("0=0,1=1,2=x2", "2", "x2")):
+        code, out, err = _run(capsys, "morphism", "det", "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: image of {letter!r} contains letters outside 012: {image!r}\n"
+
+
 def test_mse_psi(capsys):
     code, out, _ = _run(capsys, "mse", "psi", "--n", "2")
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from sturmian_erasures import (
     st_membership,
     sturmian_verdict,
 )
+from sturmian_erasures.cli import run
 from sturmian_erasures.monoid import GENERATORS, _peel
 from sturmian_erasures.morphisms import E, ID2, PHI, PHIT
 
@@ -137,9 +139,10 @@ def test_rejections_are_justified():
             assert not verdict.consistent
 
 
-def test_certificate_json():
+def test_certificate_json(capsys):
     cert = st_membership(Morphism({"0": "010", "1": "0"}))
-    assert cert.to_json() == list(cert.factors)
+    assert run(["st", "decompose", "--spec", "0=010,1=0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == list(cert.factors)
     assert GENERATORS.keys() == {"E", "phi", "phit"}
 
 

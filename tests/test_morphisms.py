@@ -89,18 +89,18 @@ def test_equality_is_extensional():
 
 
 def test_incidence_examples():
-    assert incidence(PHI).to_lists() == [[1, 1], [1, 0]]
-    assert incidence(ID3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert incidence(EX1_G).to_lists() == [[1, 1, 0], [0, 1, 0], [1, 0, 0]]
+    assert incidence(PHI).rows == ((1, 1), (1, 0))
+    assert incidence(ID3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert incidence(EX1_G).rows == ((1, 1, 0), (0, 1, 0), (1, 0, 0))
     u = fibonacci_numbers(23)
     for n in range(1, 21):
-        expected = [
-            [u[n + 1], u[n], 0],
-            [u[n], u[n - 1], 0],
-            [0, 0, 0],
-        ]
-        assert incidence(PHI1**n).to_lists() == expected
-        assert incidence(PHIT1**n).to_lists() == expected
+        expected = (
+            (u[n + 1], u[n], 0),
+            (u[n], u[n - 1], 0),
+            (0, 0, 0),
+        )
+        assert incidence(PHI1**n).rows == expected
+        assert incidence(PHIT1**n).rows == expected
 
 
 def test_determinant_examples():
@@ -128,7 +128,7 @@ def test_incidence_is_a_homomorphism():
         g = _random_ternary(rng)
         lhs = incidence(compose(g, f))
         rhs = incidence(g) * incidence(f)
-        assert lhs.to_lists() == rhs.to_lists()
+        assert lhs.rows == rhs.rows
 
 
 def test_column_count_identity():

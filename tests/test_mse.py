@@ -1,6 +1,8 @@
 import collections
 import itertools
+import json
 import random
+from functools import reduce
 
 import pytest
 
@@ -24,7 +26,8 @@ from sturmian_erasures import (
     st_membership,
     wse_verdict,
 )
-from sturmian_erasures.morphisms import E0, ID3, PHI1, PHIT1
+from sturmian_erasures.cli import run
+from sturmian_erasures.morphisms import E0, E2, ID3, PHI1, PHIT1, PI2
 from sturmian_erasures.mse import _RECODE
 
 from conftest import fib_prefix, projection_restriction
@@ -65,7 +68,7 @@ def test_projection_restriction_matches_erase_then_recode():
             assert translated == expected
 
 
-def test_membership_erasing_member():
+def test_membership_erasing_member(capsys):
     verdict = mse_membership(EX1_G)
     assert verdict.kind == "erasing-member"
     assert verdict.accepted
@@ -74,8 +77,12 @@ def test_membership_erasing_member():
     for j, cert in verdict.certificates.items():
         assert isinstance(cert, StCertificate)
         assert recompose(cert) == projection_restriction(EX1_G, "2", j)
-    js = verdict.to_json()
-    assert js["verdict"] == "erasing-member" and js["erased"] == "2"
+    assert run(["mse", "check", "--spec", "0=02,1=10,2=", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "erasing-member",
+        "erased": "2",
+        "certificates": {j: list(cert.factors) for j, cert in verdict.certificates.items()},
+    }
 
 
 def _length_witness(f, i):
@@ -289,8 +296,18 @@ def test_psi_rejects_anything_but_a_positive_int(n):
 
 
 def test_psi_projection_identities():
+    """psi builds its components as its erasures; the reference here builds
+    them from generator products, each with 2 erased on the right."""
     for n in range(1, 13):
         family = psi(n)
+        tail = PHIT1 ** (n - 1)
+        products = {
+            "f": PHI1**n,
+            "g": reduce(compose, [E0, PHIT1, E2, tail]),
+            "h": reduce(compose, [E2, E0, tail]),
+        }
+        for name, product in products.items():
+            assert getattr(family, name) == compose(product, PI2)
         for a in "012":
             assert erase(family.psi.images[a], "2") == family.f.images[a]
             assert erase(family.psi.images[a], "1") == family.g.images[a]
@@ -311,21 +328,21 @@ def test_psi_component_matrices():
     u = fibonacci_numbers(16)
     for n in range(2, 13):
         family = psi(n)
-        assert incidence(family.f).to_lists() == [
-            [u[n + 1], u[n], 0],
-            [u[n], u[n - 1], 0],
-            [0, 0, 0],
-        ]
-        assert incidence(family.g).to_lists() == [
-            [u[n + 1], u[n], 0],
-            [0, 0, 0],
-            [u[n - 1], u[n - 2], 0],
-        ]
-        assert incidence(family.h).to_lists() == [
-            [0, 0, 0],
-            [u[n], u[n - 1], 0],
-            [u[n - 1], u[n - 2], 0],
-        ]
+        assert incidence(family.f).rows == (
+            (u[n + 1], u[n], 0),
+            (u[n], u[n - 1], 0),
+            (0, 0, 0),
+        )
+        assert incidence(family.g).rows == (
+            (u[n + 1], u[n], 0),
+            (0, 0, 0),
+            (u[n - 1], u[n - 2], 0),
+        )
+        assert incidence(family.h).rows == (
+            (0, 0, 0),
+            (u[n], u[n - 1], 0),
+            (u[n - 1], u[n - 2], 0),
+        )
 
 
 def test_psi_distinct_and_unrelated_images():
@@ -346,7 +363,7 @@ def test_primality_psi_is_prime():
         assert verdict.kind == "prime-certified"
 
 
-def test_primality_composite():
+def test_primality_composite(capsys):
     f = parse_morphism("0=0102,1=01,2=")
     verdict = primality(f)
     assert verdict.kind == "composite-certified"
@@ -356,9 +373,13 @@ def test_primality_composite():
     assert mse_membership(verdict.g_factor).accepted
     assert mse_membership(verdict.h_factor).accepted
     assert not is_unit(verdict.h_factor)
-    js = verdict.to_json()
-    assert js["verdict"] == "composite-certified"
-    assert js["g"] == "0=01,1=02,2=" and js["h"] == "0=01,1=02,2="
+    assert run(["mse", "prime", "--spec", "0=0102,1=01,2=", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "composite-certified",
+        "note": "",
+        "g": "0=01,1=02,2=",
+        "h": "0=01,1=02,2=",
+    }
 
 
 def test_primality_units_and_errors():
