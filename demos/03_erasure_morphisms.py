@@ -2,8 +2,9 @@
 
 Membership reduces to three two-letter decisions: erase the dead letter
 from the images, restrict the domain, and ask the monoid.  The psi family
-gives infinitely many prime members; a worked composite shows the other
-side of the certificate.
+gives infinitely many members that primality calls prime-certified, a rule
+that some members meet although they factor; a worked composite shows the
+other side of the certificate.
 """
 
 from sturmian_erasures import (

@@ -323,13 +323,9 @@ def mechanical_stream(alpha, rho):
     y0, y1 = (rho, zero) if (rho - beta).sign() < 0 else (zero, 1 - rho)
     crossings = _Crossings({0: (beta, y0), 1: (alpha, y1)})
     swap = str.maketrans("01", "10")
-
-    def pump(need):
-        nonlocal head
-        out, head = head + crossings.letters(need).translate(swap), ""
-        return out
-
-    return WordStream(pump, "mechanical")
+    stream = WordStream(lambda need: crossings.letters(need).translate(swap), "mechanical")
+    stream._buf = head
+    return stream
 
 
 def classify(config):

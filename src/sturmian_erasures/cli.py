@@ -297,13 +297,12 @@ def _cmd_billiard_code(args):
     config = _billiard_config(args)
     if length < 0:
         raise ValueError("length must be >= 0")
-    # All three views are lazy: only the one printed is ever generated, and
-    # the event log is written event by event, so memory stays flat in --length.
-    word = lib.billiard_word(config)
+    # All three views are lazy: only the one printed is ever built or generated,
+    # and the event log is written event by event, so memory stays flat in --length.
     events = islice(lib.event_stream(config), length)
     log = ({"t": str(e.t), "omega": list(e.omega)} for e in events)
     rows = chain([("t", "omega")], ([str(e.t), "".join(map(str, e.omega))] for e in events))
-    return 0, log, map(word.prefix, [length]), rows
+    return 0, log, (lib.billiard_word(config).prefix(n) for n in [length]), rows
 
 
 def _cmd_billiard_classify(args):

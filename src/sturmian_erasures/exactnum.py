@@ -110,6 +110,11 @@ def _operand(method):
     return embedded
 
 
+def _order(op):
+    """The comparison op(self, other), read off the exact sign of self - other."""
+    return _operand(lambda self, other: op((self - other).sign(), 0))
+
+
 class SqrtBasisNumber:
     """Immutable exact value sum(c_b * sqrt(b)) / den over square-free keys b,
     stored as nonzero integers c_b over one den > 0, in lowest terms."""
@@ -140,10 +145,7 @@ class SqrtBasisNumber:
 
     @_operand
     def __sub__(self, other):
-        (out, sub), den = _common_scale(self, other)
-        for b, c in sub.items():
-            out[b] = out.get(b, 0) - c
-        return _make(out, den)
+        return self + -other
 
     @_operand
     def __rsub__(self, other):
@@ -228,21 +230,10 @@ class SqrtBasisNumber:
             return hash(Fraction(self._ints.get(1, 0), self._den))
         return hash((self._den, *sorted(self._ints.items())))
 
-    @_operand
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    @_operand
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    @_operand
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    @_operand
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __bool__(self):
         return bool(self._ints)

@@ -11,10 +11,8 @@ certificate (the factor sequence) that recomposes to the input exactly.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from . import _EXPORTS
-from .morphisms import E, ID2, PHI, PHIT, Morphism, compose
+from .morphisms import E, PHI, PHIT, Morphism
 from .records import Record
 
 __all__ = _EXPORTS["monoid"]
@@ -112,5 +110,22 @@ def st_membership(f):
 
 
 def recompose(cert):
-    """Left-to-right composition of the certificate factors."""
-    return reduce(compose, (GENERATORS[name] for name in cert.factors), ID2)
+    """Left-to-right composition of the certificate factors, in time linear
+    in the images.  The image pair (a, b) of the product so far is
+    multiplied on the right by each factor: E gives (b, a), phi (ab, a) and
+    phit (ba, a).  E.phi gives (ba, b) and E.phit (ab, b), both keeping b,
+    so a block of l E.phi and r E.phit pairs in any order gives
+    (b^l a b^r, b) in one step."""
+    names, a, b, i = cert.factors, "0", "1", 0
+    while i < len(names):
+        ends = dict.fromkeys(("phi", "phit"), 0)
+        while names[i : i + 2] in (("E", "phi"), ("E", "phit")):
+            ends[names[i + 1]] += 1
+            i += 2
+        if any(ends.values()):
+            a = b * ends["phi"] + a + b * ends["phit"]
+        else:
+            pair = {"0": a, "1": b}
+            a, b = ("".join(map(pair.get, w)) for w in GENERATORS[names[i]].images.values())
+            i += 1
+    return Morphism({"0": a, "1": b})

@@ -121,7 +121,7 @@ def intercalate(u, v, w):
 
 
 class PsiFamily(Record):
-    """The n-th member of the prime family together with its three
+    """The n-th member of the psi family together with its three
     components, its erasures: f erases 2, g erases 1 and h erases 0."""
 
     n: int
@@ -132,20 +132,20 @@ class PsiFamily(Record):
 
 
 def psi(n):
-    """Construct psi_n from its table for n <= 2 and the doubling recurrence
-    afterwards, and its components by erasing 2, 1 and 0 from its images.
+    """Construct psi_n from its images of 0 and 1: (01, 20) at n = 1, (2010, 01)
+    at n = 2, then (aba, psi_(n-1)(0)) with (a, b) those of psi_(n-2), keeping
+    two generations; and its components by erasing 2, 1 and 0 from them.
     They are the generator products phi1^n, E0 phit1 E2 phit1^(n-1) and
     E2 E0 phit1^(n-1), each with 2 then erased; the tests check this for
-    n <= 12."""
+    n <= 12.  primality calls every psi_n prime-certified, yet psi_1 is
+    (0=01,1=,2=20) o (0=01,1=12,2=), a product of two erasing members."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("psi is defined for n >= 1")
-    table = {1: ("01", "20"), 2: ("2010", "01")}
-    m = 3
-    while m <= n:
-        a2, b2 = table[m - 2]
-        table[m] = (a2 + b2 + a2, table[m - 1][0])
-        m += 1
-    images = {"0": table[n][0], "1": table[n][1], "2": ""}
+    older, old = ("01", "20"), ("2010", "01")
+    for _ in range(n - 2):
+        older, old = old, (older[0] + older[1] + older[0], old[0])
+    a, b = old if n > 1 else older
+    images = {"0": a, "1": b, "2": ""}
     f, g, h = (Morphism({a: w.replace(x, "") for a, w in images.items()}) for x in "210")
     return PsiFamily(n=n, psi=Morphism(images), f=f, g=g, h=h)
 
@@ -164,12 +164,15 @@ def _prefix_or_suffix(a, b):
 
 
 def primality(f):
-    """Prime/composite certificates for erasing members.
+    """Prime/composite verdicts for erasing members.
 
     A member whose two surviving images are unrelated by prefix or suffix is
-    prime.  When a relation exists and the letter counts of f(012) satisfy
-    count(j) > count(k) >= count(i), splitting the longer image certifies a
-    composite; anything else stays unknown.
+    called prime-certified.  That is a rule, not a proof: psi_1 =
+    (0=01,1=,2=20) o (0=01,1=12,2=) meets it, and both factors are erasing
+    members with an expansive letter.  When a relation exists and the
+    letter counts of f(012) satisfy count(j) > count(k) >= count(i),
+    splitting the longer image certifies a composite; anything else stays
+    unknown.
     """
     verdict = mse_membership(f)
     if verdict.kind == "permutation":

@@ -115,21 +115,22 @@ def fixed_point_stream(f, seed):
         raise ValueError(f"morphism erases reachable letters {empty}")
 
     # f^n(seed) = seed p f(p) ... f^(n-1)(p) with p = f(seed)[len(seed):], so
-    # after the seed each chunk is the image of the one before it.  A pump
+    # after f(seed) each chunk is the image of the one before it.  A pump
     # applies f to only as much of the previous chunk as its request needs.
     longest = max(map(len, f.images.values()))
-    head, chunk, built, at = image, image[len(seed):], [], 0
+    chunk, built, at = image[len(seed):], [], 0
 
     def pump(need):
-        nonlocal head, chunk, built, at
+        nonlocal chunk, built, at
         if at >= len(chunk):
             chunk, built, at = "".join(built), [], 0
         start, at = at, at + max(1, need // longest)
         built.append(apply(f, chunk[start:at]))
-        out, head = head + built[-1], ""
-        return out
+        return built[-1]
 
-    return WordStream(pump, "fixed-point")
+    stream = WordStream(pump, "fixed-point")
+    stream._buf = image
+    return stream
 
 
 def fibonacci_stream():
@@ -341,22 +342,13 @@ def wse_verdict(prefix, max_n):
     """
     max_n = _checked_max_n(prefix, max_n)
     per = {}
-    witness = None
     for i in A3:
-        erased = erase(prefix, i)
+        erased = prefix.replace(i, "")
         if not erased:
             raise ValueError(f"erasing {i!r} leaves an empty prefix")
         n_cap = min(max_n, len(erased))
         balance = balance_order(erased, n_cap)
-        if balance.order < 2:
-            verdict = SturmianVerdict(consistent=True, coverage=n_cap)
-        else:
-            verdict = sturmian_verdict(complexity(erased, n_cap), balance)
-        per[i] = verdict
-        if not verdict.consistent and witness is None:
-            witness = f"erasure {i}: {verdict.witness}"
-    return WSEVerdict(
-        consistent=all(v.consistent for v in per.values()),
-        per_erasure=per,
-        witness=witness,
-    )
+        per[i] = (sturmian_verdict(complexity(erased, n_cap), balance) if balance.order >= 2
+                  else SturmianVerdict(consistent=True, coverage=n_cap))
+    witness = next((f"erasure {i}: {v.witness}" for i, v in per.items() if not v.consistent), None)
+    return WSEVerdict(consistent=witness is None, per_erasure=per, witness=witness)

@@ -425,6 +425,22 @@ def test_billiard_code_json_and_csv(capsys):
     assert out.splitlines() == ["t,omega", "0,01", "1,01", "2,01"]
 
 
+def test_billiard_event_logs_build_no_coding_stream(capsys, monkeypatch):
+    # The json and csv views print the event log alone, so the coding
+    # stream, a second set of crossings, is never built for them.
+    import sturmian_erasures as lib
+
+    def unbuilt(config):
+        raise AssertionError("billiard_word built for an event log")
+
+    monkeypatch.setattr(lib, "billiard_word", unbuilt)
+    args = ["billiard", "code", "--d", "1,1,0", "--rho", "0,0,0", "--length", "3", "--format"]
+    code, out, _ = _run(capsys, *args, "json")
+    assert code == 0 and [e["omega"] for e in json.loads(out)] == [[0, 1]] * 3
+    code, out, _ = _run(capsys, *args, "csv")
+    assert code == 0 and out.splitlines() == ["t,omega", "0,01", "1,01", "2,01"]
+
+
 def test_billiard_event_logs_spell_the_word(capsys):
     # Every crossing of coordinate 1 ties with every second one of
     # coordinate 2, so the logs hold many fused events.

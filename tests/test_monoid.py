@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+from functools import reduce
 
 import pytest
 
@@ -445,3 +446,44 @@ def test_deepest_chain_in_linear_passes(mirror):
     assert cert.degree == k
     assert _runs_to_images(cert.factors) == images
     assert elapsed < 2.0
+
+
+def _folded(cert):
+    """The reference recomposition: a fold of compose over the factors,
+    each step applying the whole product so far (quadratic on deep chains)."""
+    return reduce(compose, (GENERATORS[name] for name in cert.factors), ID2)
+
+
+def test_recompose_matches_the_composition_fold():
+    """recompose, which takes each block of E.phi and E.phit pairs in one
+    step, equals the fold of compose on every certificate of the pairs of
+    total length <= 12 and on seeded random factor strings, where runs mix
+    E.phi and E.phit and E repeats."""
+    words = list(_binary_words(12))
+    certs = 0
+    for im0 in words:
+        for im1 in words:
+            if len(im0) + len(im1) > 12:
+                break
+            cert = _decide(im0, im1)
+            if isinstance(cert, StCertificate):
+                assert recompose(cert) == _folded(cert) == Morphism({"0": im0, "1": im1})
+                certs += 1
+    assert certs == 658
+    rng = random.Random(61)
+    for _ in range(3000):
+        names = rng.choices(("E", "phi", "phit"), weights=(2, 1, 1), k=rng.randrange(25))
+        cert = StCertificate(tuple(names))
+        assert recompose(cert) == _folded(cert), names
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_deepest_chain_recomposes_in_linear_time(mirror):
+    """The 2k factors of 0=0,1=0^k1 and 0=0,1=10^k at k = 10^5 recompose to
+    the input in well under a second (the fold of compose takes minutes)."""
+    k = 100_000
+    f = Morphism({"0": "0", "1": "1" + "0" * k if mirror else "0" * k + "1"})
+    cert = st_membership(f)
+    start = time.perf_counter()
+    assert recompose(cert) == f
+    assert time.perf_counter() - start < 1.0
