@@ -15,7 +15,7 @@ from itertools import chain, compress, count, groupby, repeat
 from operator import le, mod, sub
 
 from . import _EXPORTS
-from .exactnum import SqrtBasisNumber, _common_scale, _enclose, _make, _sign_of, rational
+from .exactnum import SqrtBasisNumber, _enclose, _make, _sign_of, rational
 from .records import Record
 from .words import WordStream
 
@@ -39,9 +39,9 @@ class BilliardConfig(Record):
             xs = (x if isinstance(x, SqrtBasisNumber) else rational(x) for x in getattr(self, name))
             object.__setattr__(self, name, tuple(xs))
         signs = [x.sign() for x in self.d]
-        if any(s < 0 for s in signs):
+        if min(signs) < 0:
             raise ValueError("direction coordinates must be nonnegative")
-        if all(s == 0 for s in signs):
+        if max(signs) == 0:
             raise ValueError("direction must be nonzero")
         if any(x.floor() for x in self.rho):
             raise ValueError("starting point coordinates must lie in [0, 1)")
@@ -56,7 +56,7 @@ class CrossingEvent(Record):
 
 def _config_times(config):
     """{i: (x_i, y_i)}, x_i = 1/d_i and y_i = rho_i/d_i, over the moving i."""
-    xs = {i: 1 / d for i, d in enumerate(config.d) if not d.is_zero()}
+    xs = {i: d._inverse() for i, d in enumerate(config.d) if not d.is_zero()}
     return {i: (x, config.rho[i] * x) for i, x in xs.items()}
 
 
@@ -74,17 +74,18 @@ class _Crossings:
     differ by integer multiples of v, so every crossing time of a member is
     t0 + n*v with t0 the class's first crossing and n = m*P - C >= 0 an
     integer; lines[pos] = (class, P, C).  A class is keyed by v and its one
-    row y = y_i - floor(y_i[k]/v[k])*v, k the first nonzero index of v.
-    Members enclose their times as enclose(t0) + n*enclose(v): lower
-    bounds strictly increase with n, and two crossings are equal exactly
-    when their n are, and then so are their lower bounds, so _batch()
-    passes such ties by; _exact, the sign of a time-row difference, is the
-    only exact order test.  A class of one keeps the tight enclosure of its
-    first crossing, as its t0 is that crossing.  At any k a row encloses
-    to a width of the sum of |c| over its irrational keys, t for t0 and v
-    for v, so a member's enclosure is t + n*v = a + m*b wide.  Steps grow
-    as 2**k: a 64-bit reading of the shortest step s sets k, the least
-    k >= 1 with 2**(k-64)*s >= max(4*(W + 2), W << 20) for W = width().
+    row y = y_i - floor(y_i[k]/v[k])*v, k the index of the greatest entry
+    of v, which is positive as x_i > 0.  Members enclose their times as
+    enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
+    two crossings are equal exactly when their n are, and then so are their
+    lower bounds, so _batch() never compares such ties; _exact, the sign of
+    a time-row difference, is the only exact order test.  A class of one
+    keeps the tight enclosure of its first crossing, as its t0 is that
+    crossing.  At any k a row encloses to a width of the sum of |c| over
+    its irrational keys, t for t0 and v for v, so a member's enclosure is
+    t + n*v = a + m*b wide.  Steps grow as 2**k: a 64-bit reading of
+    the shortest step s sets k, the least k >= 1 with
+    2**(k-64)*s >= max(4*(W + 2), W << 20) for W = width().
     _batch() still doubles k >= 1 while 4*(W + 1) > s, so each batch
     starts from 4*(W + 1) <= s, and its proofs that no cluster holds two
     crossings of one coordinate and that every batch commits need no more.
@@ -109,20 +110,21 @@ class _Crossings:
     batches."""
 
     def __init__(self, times):
-        ints, self.den = _common_scale(*chain(*times.values()))
-        keys = sorted(set().union(*ints))
-        self.moving = list(times)
-        self.table = [[(key, x.get(key, 0), y.get(key, 0)) for key in keys]
-                      for x, y in zip(ints[::2], ints[1::2])]
-        self.counters = [1 if any(y for _, _, y in row) else 0 for row in self.table]
-        self.lines, bases = [], {}  # (v, y) -> [class, least n]
-        for m, row in zip(self.counters, self.table):
-            xs, ys = [x for _, x, _ in row], [y for _, _, y in row]
+        self.moving, zs = list(times), [*chain(*times.values())]
+        den = self.den = math.lcm(*[z._den for z in zs])
+        keys = sorted(set().union(*[z._ints for z in zs]))
+        # The rows of den*x_i and den*y_i, straight from their integers.
+        rows = [[c * (den // z._den) for c in map(z._ints.get, keys, repeat(0))] for z in zs]
+        self.table, self.counters, self.lines, bases = [], [], [], {}  # (v, y) -> [class, least n]
+        for xs, ys in zip(rows[::2], rows[1::2]):
+            self.table.append(list(zip(keys, xs, ys)))
+            m = 1 if any(ys) else 0
+            self.counters.append(m)
             p = math.gcd(*xs)
-            v = tuple(x // p for x in xs)
-            k = next(k for k, x in enumerate(v) if x)
-            c = ys[k] // v[k]  # y_i = y + c*v, y[k] = y_i[k] mod v[k]: one y a class
-            y = tuple(a - c * x for a, x in zip(ys, v))
+            v = tuple([x // p for x in xs])
+            k = v.index(max(v))  # v[k] > 0, as x_i > 0
+            c = ys[k] // v[k]  # y_i = y + c*v, 0 <= y[k] < v[k]: one y a class
+            y = tuple([a - c * x for a, x in zip(ys, v)])
             # t = n*v - y with n = m*p - c.
             base = bases.setdefault((v, y), [len(bases), m * p - c])
             base[1] = min(base[1], m * p - c)
@@ -130,7 +132,8 @@ class _Crossings:
         # Shift each class's n so that its earliest first crossing has n = 0.
         least = [n for _, n in bases.values()]
         self.lines = [(cls, p, c + least[cls]) for cls, p, c in self.lines]
-        self.line = {48 + i: cls for i, (cls, _, _) in zip(self.moving, self.lines)}
+        self.codes = [8 * cls + i for i, (cls, _, _) in zip(self.moving, self.lines)]  # see _batch
+        self.decode = bytes.maketrans(bytes(self.codes), "".join(map(str, self.moving)).encode())
         self.directions = len({v for v, _ in bases})
         span = math.lcm(*(p for _, p, _ in self.lines))
         period = sum(span // p for _, p, _ in self.lines) if self.directions == 1 else 0
@@ -165,7 +168,7 @@ class _Crossings:
         """The exact order of two crossings tagged from base: the sign of the
         difference of their integer time rows, ties in coordinate order.  It
         is the only exact order test."""
-        a, b = self.moving.index((u & 63) - 48), self.moving.index((v & 63) - 48)
+        a, b = self.codes.index(u & 63), self.codes.index(v & 63)
         ma = self.counters[a] + ((u >> 6) + base - self.lo[a]) // self.steps[a]
         mb = self.counters[b] + ((v >> 6) + base - self.lo[b]) // self.steps[b]
         return _sign_of({
@@ -175,13 +178,13 @@ class _Crossings:
 
     def letters(self, need):
         """About n letters of the next events, n = need clamped to [256, 4096].
-        A period of at most 4096 letters is ordered by the batches on the
-        first call, and the ring then serves n letters a call."""
+        The first call orders a period of at most 4096 letters, in batches of
+        the missing letters and 16 more, and the ring then serves the rest."""
         n = min(max(need, 256), 4096)
         if self.period and not self.ring:
             word = ""
             while len(word) < self.period:
-                word += self._batch(n)
+                word += self._batch(min(n, self.period - len(word) + 16))
             self.ring = word[: self.period] * (4096 // self.period + 2)
         if not self.ring:
             return self._batch(n)
@@ -189,24 +192,27 @@ class _Crossings:
         return self.ring[at : at + n]
 
     def _batch(self, n):
-        """One batch of about n letters of the ordering path.
+        """One batch of about n letters of the ordering path, 16 <= n <= 4096.
 
         Each coordinate's lower bounds form a progression.  Below a horizon
         c it adds its crossings and one sentinel at or past c, each tagged
-        64*(lo - base) + ord(letter), base the least lower bound (a shift
-        of 64*lo + ord(letter), so order and gaps are kept), and one sort
-        merges them.  With s the shortest step, c lies at least 85*s past
-        the least lower bound (a third of 256 steps) and under 4112 steps
-        past any, so W = width() bounds every enclosure the batch reaches.
-        Bounds more than W apart are in certain order, and runs of closer
-        ones (clusters) are re-sorted by _exact, the only exact order test.
-        The links of the clusters are the neighbours whose tagged gap is at
-        most 64W + 63, so when one pass finds the least gap above that, the
-        batch has no cluster and no link list is built; otherwise the list
-        comes from the same gaps, and holds the same links.  Two neighbours
-        with equal lower bounds on one line are an exact tie, which the
-        sort already put in coordinate order, so they are not compared.
-        What precedes the first sentinel's cluster is committed.
+        64*(lo - base) + code, code = 8*class + i for letter i and base the
+        least lower bound (a shift of 64*lo + code, so order and gaps are
+        kept), and one sort merges them.  With s the shortest step, c lies
+        at least 5*s past the least lower bound (a third of 16 steps) and
+        under 4112 steps past any, so W = width() bounds every enclosure the
+        batch reaches.  Bounds more than W apart are in certain order, and
+        runs of closer ones (clusters), neighbours whose tagged gap is at
+        most 64W + 63, are re-sorted by _exact, the only exact order test.
+        A gap of 1 or 2 is an exact tie, equal lower bounds on one line,
+        that the sort put in coordinate order: two lines' codes differ by 6
+        or more, and unequal bounds are at least 64 - 18 apart.  Every other
+        such gap is a link.  When one pass finds the least gap above
+        64W + 63, no link list is built.  The insertion sort moves the
+        crossing after each link, with the ties that follow it, as one run
+        past each later crossing that _exact finds: no tie is compared or
+        walked, and ties stay together.  What precedes the first sentinel's
+        cluster is committed.
 
         W does not depend on k, and the precision is doubled until
         4*(W + 1) <= s.  Linked neighbours lie at most W + 1 apart, so no
@@ -225,32 +231,31 @@ class _Crossings:
         top = max(steps) << 8
         c = n * top // sum(top // s for s in steps)
         ranges, sentinels = [], []
-        for pos, i in enumerate(self.moving):
+        for pos, code in enumerate(self.codes):
             s, first = steps[pos], lo[pos] - base
             k = max(0, -((first - c) // s))  # crossings with lower bound below c
-            sentinels.append(64 * (first + k * s) + 48 + i)
-            ranges.append(range(64 * first + 48 + i, sentinels[-1] + 1, 64 * s))
+            sentinels.append(64 * (first + k * s) + code)
+            ranges.append(range(64 * first + code, sentinels[-1] + 1, 64 * s))
         merged = sorted(chain(*ranges))
         end = bisect_left(merged, min(sentinels))
-        # A tagged gap above 64W + 63 is a gap above W between lower
-        # bounds; the others link the neighbours of one cluster.
+        # A tagged gap of 1 or 2 is a tie on one line; one of 3 to 64W + 63
+        # links two crossings of two lines whose lower bounds are within W + 1.
         links, limit = [], 64 * width + 63
         gaps = list(map(sub, merged[1 : end + 1], merged)) if width else []
         if gaps and min(gaps) <= limit:
-            links = list(compress(count(), map(le, gaps, repeat(limit))))
-        while links and links[-1] == end - 1:
-            end = links.pop()
-        line = self.line
-        for at in links:  # insertion sort; it never leaves its cluster
-            while at >= 0:
-                u, v = merged[at], merged[at + 1]
-                if u >> 6 == v >> 6 and line[u & 63] == line[v & 63]:
-                    break  # a tie on one line, already in coordinate order
-                if self._exact(u, v, base) < 0:
-                    break
-                merged[at], merged[at + 1] = v, u
-                at -= 1
-        word = bytes(map(mod, merged, repeat(64, end))).decode()
+            while end and gaps[end - 1] <= limit:
+                end -= 1  # the first sentinel's cluster waits for the next batch
+            near = compress(count(), map(le, gaps, repeat(limit, end)))
+            links = [at for at in near if gaps[at] > 2]
+        for at in links:  # insertion sort of tie runs; it never leaves its cluster
+            stop = at + 2
+            while merged[stop] - merged[stop - 1] < 3:
+                stop += 1
+            run, to = merged[at + 1 : stop], at
+            while to >= 0 and self._exact(merged[to], run[0], base) > 0:
+                to -= 1
+            merged[to + 1 : stop] = run + merged[to + 1 : at + 1]
+        word = bytes(map(mod, merged, repeat(64, end))).translate(self.decode).decode()
         for pos, i in enumerate(self.moving):
             j = word.count(str(i))
             self.counters[pos] += j

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 
 from . import _EXPORTS
@@ -89,12 +90,6 @@ def _floor_of(ints, den, div=operator.floordiv):
         k *= 2
 
 
-def _common_scale(*xs):
-    """The integer coefficient dicts of den*x for each x, and den > 0."""
-    den = math.lcm(*(x._den for x in xs))
-    return [{b: c * (den // x._den) for b, c in x._ints.items()} for x in xs], den
-
-
 def _operand(method):
     """The binary method with an int or Fraction operand embedded by
     rational(), returning NotImplemented for any other type."""
@@ -131,25 +126,19 @@ class SqrtBasisNumber:
 
     # -- ring operations ------------------------------------------------------
 
-    @_operand
-    def __add__(self, other):
-        (out, add), den = _common_scale(self, other)
-        for b, c in add.items():
-            out[b] = out.get(b, 0) + c
-        return _make(out, den)
+    def _plus(self, other, sign=1):
+        """self + sign*other for sign = 1 or -1, over the product of the dens."""
+        out = {b: c * other._den for b, c in self._ints.items()}
+        for b, c in other._ints.items():
+            out[b] = out.get(b, 0) + sign * c * self._den
+        return _make(out, self._den * other._den)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _operand(_plus)
+    __sub__ = _operand(lambda self, other: self._plus(other, -1))
+    __rsub__ = _operand(lambda self, other: other._plus(self, -1))
 
     def __neg__(self):
         return _make({b: -c for b, c in self._ints.items()}, self._den)
-
-    @_operand
-    def __sub__(self, other):
-        return self + -other
-
-    @_operand
-    def __rsub__(self, other):
-        return other - self
 
     @_operand
     def __mul__(self, other):
@@ -168,10 +157,10 @@ class SqrtBasisNumber:
     def _inverse(self):
         if not self._ints:
             raise ZeroDivisionError("division by zero")
+        if len(self._ints) == 1:  # c*sqrt(b)/den, rational when b = 1
+            ((b, c),) = self._ints.items()
+            return _make({b: self._den if c > 0 else -self._den}, abs(c) * b)
         keys = [b for b in self._ints if b != 1]
-        if not keys:
-            c = self._ints[1]
-            return _make({1: self._den if c > 0 else -self._den}, abs(c))
         # Find g > 1 that divides each key or is coprime to it, by gcd
         # refinement.  For any prime p | g the automorphism sigma_p negates
         # exactly the keys divisible by g, and with x = A + B where B collects
@@ -274,9 +263,8 @@ def _make(ints, den):
 
 def rational(q):
     """Embed an integer, a Fraction, or anything Fraction() accepts."""
-    if type(q) is int:
-        return _make({1: q}, 1)
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     return _make({1: q.numerator}, q.denominator)
 
 
@@ -286,61 +274,76 @@ def sqrt(k):
     return _make({d: m}, 1)
 
 
-# -- expression grammar: integers, p/q, sqrt(k), binary + - * /, parentheses --
+# -- expression grammar -----------------------------------------------------------
 
-# parse_number rejects longer expressions before parsing them.  A syntax tree
-# is never deeper than its text is long, so this also caps the nesting that
-# ast.parse and the evaluator recurse through.  It bounds the time as well:
+# parse_number rejects longer expressions before parsing them.  This also
+# caps the nesting the parser recurses through.  It bounds the time as well:
 # inverting a product of sqrt sums costs about 16x more per distinct sqrt
 # factor, and 100 characters hold at most seven of them.
 _EXPR_MAX = 100
-_BINOPS = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul, "Div": operator.truediv}
+# Blanks, then an integer, sqrt, or any other character for the grammar to refuse.
+_TOKEN = re.compile(r"[ \t]*(0+|[1-9][0-9]*|sqrt|.)", re.S)
+# Rational operands stay int or Fraction until they meet a square root.
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": lambda x, y: (
+    x / y if isinstance(x, SqrtBasisNumber) or isinstance(y, SqrtBasisNumber) else Fraction(x, y))}
 
 
 def parse_number(text):
-    """Parse an expression such as "(3-sqrt(5))/2" into an exact value."""
-    import ast  # here, so that importing this module stays cheap
+    """Parse an expression such as "(3-sqrt(5))/2" into an exact value.
 
-    def value(node):
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, int) and not isinstance(node.value, bool):
-                return rational(node.value)
-            raise ValueError(
-                f"unsupported literal {node.value!r}: use integers and p/q rationals"
-            )
-        if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINOPS:
-            return _BINOPS[type(node.op).__name__](value(node.left), value(node.right))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            x = value(node.operand)
-            return -x if isinstance(node.op, ast.USub) else x
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "sqrt"
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            arg = value(node.args[0])
-            if not arg.is_rational():
-                raise ValueError("sqrt argument must be a positive integer")
-            n = arg._ints.get(1, 0)
-            if arg._den != 1 or n <= 0:
-                raise ValueError(f"sqrt argument must be a positive integer, got {arg}")
-            if n > _SQRT_ARG_MAX:
-                raise ValueError(f"sqrt argument {arg} exceeds the limit {_SQRT_ARG_MAX}")
-            return sqrt(n)
-        raise ValueError(f"unsupported expression element: {ast.dump(node)}")
-
+    The grammar, blanks (spaces and tabs) allowed around every token:
+        sum     = product {("+" | "-") product}
+        product = factor {("*" | "/") factor}
+        factor  = {"+" | "-"} (integer | "sqrt" "(" sum ")" | "(" sum ")")
+    An integer is a run of decimal digits without a leading 0, or zeros.
+    """
     expr = text.strip()
     if len(expr) > _EXPR_MAX:
         raise ValueError(f"bad number expression: {len(expr)} characters, more than {_EXPR_MAX}")
+    tokens = ["", *reversed(_TOKEN.findall(expr))]  # popped from the end; "" ends them
     try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(
-            f"bad number expression {text!r}: syntax error at offset {exc.offset}"
-        ) from None
-    try:
-        return value(tree.body)
+        x = _fold(tokens, "+-")
+        _take(tokens, "")
     except ZeroDivisionError:
         raise ValueError(f"bad number expression {text!r}: division by zero") from None
+    except ValueError as exc:
+        raise ValueError(f"bad number expression {text!r}: {exc}") from None
+    return x if isinstance(x, SqrtBasisNumber) else rational(x)
+
+
+def _take(tokens, expected):
+    token = tokens.pop()
+    if token != expected:
+        raise ValueError(f"unexpected {token or 'end'!r}")
+
+
+def _fold(tokens, ops):
+    """A sum of products (ops "+-") or a product of factors ("*/")."""
+    x = _factor(tokens) if ops == "*/" else _fold(tokens, "*/")
+    while tokens[-1] and tokens[-1] in ops:
+        x = _ARITH[tokens.pop()](x, _factor(tokens) if ops == "*/" else _fold(tokens, "*/"))
+    return x
+
+
+def _factor(tokens):
+    token = tokens.pop()
+    if token in ("+", "-"):
+        x = _factor(tokens)
+        return -x if token == "-" else x
+    if "0" <= token[:1] <= "9":
+        return int(token)
+    if token != "sqrt":
+        tokens.append(token)  # then it must be "("
+    _take(tokens, "(")
+    x = _fold(tokens, "+-")
+    _take(tokens, ")")
+    if token != "sqrt":
+        return x
+    # The argument is a value that is an integer from 1 to _SQRT_ARG_MAX.
+    if isinstance(x, SqrtBasisNumber) and x.is_rational():
+        x = Fraction(x._ints.get(1, 0), x._den)
+    if isinstance(x, SqrtBasisNumber) or x.denominator != 1 or x <= 0:
+        raise ValueError(f"sqrt argument must be a positive integer, got {x}")
+    if x > _SQRT_ARG_MAX:
+        raise ValueError(f"sqrt argument {x} exceeds the limit {_SQRT_ARG_MAX}")
+    return sqrt(int(x))

@@ -26,7 +26,7 @@ from sturmian_erasures import (
 )
 import sturmian_erasures.billiard as billiard_module
 from sturmian_erasures.billiard import _config_times, _Crossings
-from sturmian_erasures.exactnum import _common_scale, _make, _sign_of
+from sturmian_erasures.exactnum import _make, _sign_of
 
 THETA = parse_number("(1+sqrt(5))/2")
 GOLDEN = BilliardConfig(
@@ -125,6 +125,12 @@ def _exact_step(keys, rows, ms):
     for i in best:
         ms[i] += 1
     return best, times[best[0]]
+
+
+def _common_scale(*xs):
+    """The integer coefficient dicts of den*x for each x, and den > 0."""
+    den = math.lcm(*(x._den for x in xs))
+    return [{b: c * (den // x._den) for b, c in x._ints.items()} for x in xs], den
 
 
 def _step_events(config, count, ms=None):
@@ -315,7 +321,7 @@ def test_line_order_matches_exact_sign(config):
             lo_b = crossings.lo[b] + jb * crossings.steps[b]
             assert (lo_a > lo_b) - (lo_a < lo_b) == sign
             # _exact reads the same order off lower bounds tagged from 0.
-            tag_a, tag_b = (64 * lo + 48 + crossings.moving[pos] for lo, pos in [(lo_a, a), (lo_b, b)])
+            tag_a, tag_b = (64 * lo + crossings.codes[pos] for lo, pos in [(lo_a, a), (lo_b, b)])
             assert crossings._exact(tag_a, tag_b, 0) == (sign or a - b)
     for pos, row in enumerate(table):
         s, m, (a, b) = crossings.steps[pos], counters[pos], crossings.spans[pos]
@@ -357,7 +363,7 @@ def _exact_calls(config, length, overlapping=False):
     def counted(u, v, base):
         bounds = []
         for tag in (u, v):
-            pos = crossings.moving.index((tag & 63) - 48)
+            pos = crossings.codes.index(tag & 63)
             s, lo, (a, b) = crossings.steps[pos], crossings.lo[pos], crossings.spans[pos]
             j = ((tag >> 6) + base - lo) // s
             bounds.append((lo + j * s, lo + j * s + a + (crossings.counters[pos] + j) * b))
@@ -446,10 +452,38 @@ def test_cluster_free_batches_build_no_links(config, at_zero, monkeypatch):
 
 
 @pytest.mark.parametrize("config", LINE_CONFIGS)
-def test_line_ties_still_build_links(config, monkeypatch):
-    # The line-class ties are clusters: their batches still take the links
-    # that the exact test and the tie rule work on.
-    assert _link_builds(config, 20_000, monkeypatch) >= 1
+def test_line_ties_are_not_links(config, monkeypatch):
+    # Thousands of exact ties on one line sit 1 or 2 tags apart, and no
+    # other neighbours do, so a batch leaves them out of its links: it
+    # walks only links between two lines, here at most the cluster at t = 0,
+    # and compares no tie.
+    crossings = _Crossings(_config_times(config))
+    line = {code: cls for code, (cls, _, _) in zip(crossings.codes, crossings.lines)}
+    ties, links, compared = [], [], []
+
+    def recording_bisect_left(merged, sentinel):
+        end = bisect.bisect_left(merged, sentinel)
+        limit = 64 * crossings.width() + 63
+        for u, v in zip(merged, merged[1 : end + 1]):
+            (ties if v - u < 3 else links if v - u <= limit else []).append((u, v))
+        return end
+
+    exact = crossings._exact
+
+    def recording_exact(u, v, base):
+        compared.append((u, v))
+        return exact(u, v, base)
+
+    crossings._exact = recording_exact
+    monkeypatch.setattr(billiard_module, "bisect_left", recording_bisect_left)
+    for _ in range(80):
+        crossings.letters(256)
+    def tie(u, v):
+        return u >> 6 == v >> 6 and line[u & 63] == line[v & 63]
+
+    assert ties and all(tie(u, v) for u, v in ties)
+    assert len(links) <= 1 and all(line[u & 63] != line[v & 63] for u, v in links)
+    assert not any(tie(u, v) for u, v in compared)
 
 
 def test_batch_tags_stay_under_a_bound_set_by_k(monkeypatch):

@@ -568,11 +568,22 @@ def test_oversized_sqrt_argument_exits_two(capsys):
     ids=["1000-terms", "3000-terms", "20000-minus-signs"],
 )
 def test_long_number_expression_exits_two(capsys, alpha):
-    # Refused before ast.parse: these used to end in RecursionError, an error
+    # Refused before parsing: these once ended in RecursionError, an error
     # inside ast, and MemoryError.
     code, out, err = _run(capsys, "word", "mechanical", f"--alpha={alpha}")
     assert code == 2 and out == ""
     assert err == f"error: bad number expression: {len(alpha)} characters, more than 100\n"
+
+@pytest.mark.parametrize("alpha, token", [
+    ("0x10/32", "x"), ("1_0/32", "_"), ("1/3#c", "#"), ("sqrt(2,)-1", ","), ("sqrt(2)**2", "*"),
+])
+def test_number_outside_the_grammar_exits_two(capsys, alpha, token):
+    # A hexadecimal literal, a digit separator, a comment and a trailing
+    # comma in sqrt were once accepted, and ** answered with a syntax tree.
+    code, out, err = _run(capsys, "word", "mechanical", "--alpha", alpha, "--length", "8")
+    assert code == 2 and out == ""
+    assert err == f"error: bad number expression {alpha!r}: unexpected {token!r}\n"
+
 
 def test_wse_max_n_error_names_the_input_length(capsys):
     code, out, err = _run(capsys, "analyze", "wse", "012012", "--max-n", "0")

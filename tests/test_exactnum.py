@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -163,11 +164,117 @@ def test_parse_number_examples():
 @pytest.mark.parametrize(
     "text",
     ["sqrt(-1)", "sqrt(0)", "2**3", "sqrt(x)", "pi", "1/0", "1 +", "sqrt(1/2 + 1)", "1.5", "True",
-     "sqrt(sqrt(2))"],
+     "sqrt(sqrt(2))", "01", "1\n+2", "(1\n+2)"],
 )
 def test_parse_number_rejects(text):
     with pytest.raises(ValueError):
         parse_number(text)
+
+
+@pytest.mark.parametrize("text", ["0x10/32", "0o17", "0b11", "1_0/32", "1/3#c", "sqrt(2,)-1",
+                                  "sqrt(2)**2", "1e3", "1j", "(1,)"])
+def test_parse_number_accepts_only_its_grammar(text):
+    # Python syntax outside the grammar: the first five and 0o17, 0b11
+    # were once accepted, and ** answered with a dump of its syntax tree.
+    prefix = re.escape(f"bad number expression {text!r}: unexpected")
+    with pytest.raises(ValueError, match=f"^{prefix}"):
+        parse_number(text)
+
+
+def _ast_reference(text):
+    """parse_number as it was when it evaluated the tree of ast.parse: the
+    reference for the values and refusals of the grammar parser."""
+    import ast
+
+    binops = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv}
+
+    def value(node):
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, int) and not isinstance(node.value, bool):
+                return rational(node.value)
+            raise ValueError(f"unsupported literal {node.value!r}: use integers and p/q rationals")
+        if isinstance(node, ast.BinOp) and type(node.op) in binops:
+            return binops[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            x = value(node.operand)
+            return -x if isinstance(node.op, ast.USub) else x
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt"
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            arg = value(node.args[0])
+            if not arg.is_rational():
+                raise ValueError("sqrt argument must be a positive integer")
+            n = arg._ints.get(1, 0)
+            if arg._den != 1 or n <= 0:
+                raise ValueError(f"sqrt argument must be a positive integer, got {arg}")
+            if n > 10**12:
+                raise ValueError(f"sqrt argument {arg} exceeds the limit {10**12}")
+            return sqrt(n)
+        raise ValueError(f"unsupported expression element: {ast.dump(node)}")
+
+    expr = text.strip()
+    if len(expr) > 100:
+        raise ValueError(f"bad number expression: {len(expr)} characters, more than 100")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(
+            f"bad number expression {text!r}: syntax error at offset {exc.offset}"
+        ) from None
+    try:
+        return value(tree.body)
+    except ZeroDivisionError:
+        raise ValueError(f"bad number expression {text!r}: division by zero") from None
+
+
+def _grammar_texts():
+    """Texts of the documented grammar, blanks and all, with integers that
+    have leading zeros and sqrt, division and range errors mixed in."""
+    from hypothesis import strategies as st
+
+    blank = st.sampled_from(["", "", "", " ", "\t", "  "])
+    integer = st.integers(0, 999).map(str) | st.sampled_from(["00", "007", "0010"])
+    product = st.lists(st.integers(0, 40).map(str), min_size=1, max_size=6).map("*".join)
+    leaf = (integer | st.builds("sqrt{}({}{})".format, blank, product, blank)
+            | st.sampled_from(["sqrt(1000000000000)", "sqrt(1000000000001)"]))
+
+    def extend(inner):
+        return (st.builds("{}{}{}{}{}".format, inner, blank, st.sampled_from("+-*/"), blank, inner)
+                | st.builds("{}{}".format, st.text("+-", min_size=1, max_size=4), inner)
+                | st.builds("({}{}{})".format, blank, inner, blank)
+                | st.builds("sqrt{}({})".format, blank, inner))
+
+    nested = st.builds(lambda k, x: "(" * k + x + ")" * k, st.integers(0, 49), integer | leaf)
+    chain = st.builds("{}{}".format, st.text("+- \t", max_size=98), integer)
+    tree = st.builds("{}{}{}".format, blank, st.recursive(leaf, extend, max_leaves=10), blank)
+    return tree | nested | chain
+
+
+def test_parse_number_matches_the_ast_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_grammar_texts())
+    def check(text):
+        try:
+            expected = _ast_reference(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_number(text)
+        else:
+            assert parse_number(text) == expected
+
+    check()
+    # The slowest kind of 100-character input, a quotient of a product of
+    # seven sqrt sums, evaluates alike.
+    text = "1/(" + "*".join(f"(1+sqrt({p}))" for p in (2, 3, 5, 7, 11, 13, 17)) + ")"
+    assert len(text) <= 100 and parse_number(text) == _ast_reference(text)
 
 
 @pytest.mark.parametrize("key", [2.5, 4.0, True, False, Fraction(4), "4", 0, -1])

@@ -55,9 +55,19 @@ def test_package_import_loads_no_submodule():
 
 
 def test_exactnum_import_loads_no_ast():
-    # parse_number imports ast when it is called, not when the module loads.
+    # parse_number reads its grammar itself: neither importing exactnum, nor
+    # parsing, nor a command that parses its numbers loads ast.
     _, modules = _modules_after("import sturmian_erasures.exactnum")
     assert "sturmian_erasures.exactnum" in modules and "ast" not in modules
+    out, modules = _modules_after(
+        "from sturmian_erasures import parse_number\nprint(parse_number('(3-sqrt(5))/2'))"
+    )
+    assert out == ["3/2 - 1/2*sqrt(5)"] and "ast" not in modules
+    out, modules = _modules_after(
+        "from sturmian_erasures.cli import run\n"
+        "assert run(['word', 'mechanical', '--alpha', '(3-sqrt(5))/2', '--length', '8']) == 0"
+    )
+    assert out == ["00100101"] and "ast" not in modules
 
 
 def test_cli_import_loads_only_cli():
