@@ -209,10 +209,11 @@ class _Crossings:
         or more, and unequal bounds are at least 64 - 18 apart.  Every other
         such gap is a link.  When one pass finds the least gap above
         64W + 63, no link list is built.  The insertion sort moves the
-        crossing after each link, with the ties that follow it, as one run
-        past each later crossing that _exact finds: no tie is compared or
-        walked, and ties stay together.  What precedes the first sentinel's
-        cluster is committed.
+        crossing after each link back past each crossing that _exact puts
+        after it, then each tie behind it alike, stopping at its partner
+        unasked as ties sit in coordinate order: no tie is compared, and an
+        equal time on another line falls among ties by coordinate.  What
+        precedes the first sentinel's cluster is committed.
 
         W does not depend on k, and the precision is doubled until
         4*(W + 1) <= s.  Linked neighbours lie at most W + 1 apart, so no
@@ -247,14 +248,14 @@ class _Crossings:
                 end -= 1  # the first sentinel's cluster waits for the next batch
             near = compress(count(), map(le, gaps, repeat(limit, end)))
             links = [at for at in near if gaps[at] > 2]
-        for at in links:  # insertion sort of tie runs; it never leaves its cluster
-            stop = at + 2
-            while merged[stop] - merged[stop - 1] < 3:
-                stop += 1
-            run, to = merged[at + 1 : stop], at
-            while to >= 0 and self._exact(merged[to], run[0], base) > 0:
-                to -= 1
-            merged[to + 1 : stop] = run + merged[to + 1 : at + 1]
+        for at in links:  # insertion sort; it never leaves its cluster
+            floor, tie = -1, True
+            while tie:  # the crossing after the link, then each tie behind it
+                u, to = merged[at + 1], at
+                while to > floor and self._exact(merged[to], u, base) > 0:
+                    to -= 1
+                merged[to + 1 : at + 2] = [u, *merged[to + 1 : at + 1]]
+                at, floor, tie = at + 1, to + 1, merged[at + 2] - u < 3
         word = bytes(map(mod, merged, repeat(64, end))).translate(self.decode).decode()
         for pos, i in enumerate(self.moving):
             j = word.count(str(i))

@@ -98,8 +98,17 @@ EQUIVALENCE_CONFIGS = [
     BilliardConfig(d=(3, 5, 7), rho=(0, 0, 0)),
 ]
 
+# All three coordinates cross at one time t > 0 on two lines: 0 and 2 tie
+# on one, and coordinate 1, on the other, has the least lower bound, so its
+# tag sorts before the tie although it belongs between the two.  The tied
+# pair is on rational rows (t = 1) or on irrational ones (t = 1/sqrt(2)).
+CROSS_LINE_TIES = [
+    BilliardConfig(d=(1, sqrt(2), 1), rho=(0, parse_number("2-sqrt(2)"), 0)),
+    BilliardConfig(d=(sqrt(2), sqrt(3), sqrt(2)), rho=(0, parse_number("2-sqrt(6)/2"), 0)),
+]
 
-@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS)
+
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS + CROSS_LINE_TIES)
 def test_fast_path_matches_reference_ordering(config):
     expected = list(itertools.islice(_reference_events(config), 400))
     assert _events(config, 400) == expected
@@ -159,7 +168,7 @@ def _stepped_prefix(config, length, step):
     return stream.prefix(length)
 
 
-@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS)
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS + CROSS_LINE_TIES)
 def test_batched_word_matches_exact_events(config):
     # Requests of 1, 64 and 4099 letters end inside batches and inside fused
     # blocks, so later batches resume from every kind of cut.
@@ -204,7 +213,7 @@ def test_wide_batches_commit_hundreds_of_letters(config):
         assert len(crossings.letters(256)) >= 200
 
 
-@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS + WIDE_CONFIGS)
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS + WIDE_CONFIGS + CROSS_LINE_TIES)
 def test_event_stream_matches_step_events(config):
     # Both the times and the fused blocks of the grouped batch agree with
     # the exact per-event path.
@@ -274,7 +283,8 @@ OFF_LINE = _config(
         ),
         OFF_LINE,
     ]
-    + LINE_CONFIGS,
+    + LINE_CONFIGS
+    + CROSS_LINE_TIES,
 )
 def test_advanced_enclosures_match_reference_far_out(config):
     # Each crossing widens its coordinate's enclosure, so check far from the start.
@@ -484,6 +494,52 @@ def test_line_ties_are_not_links(config, monkeypatch):
     assert ties and all(tie(u, v) for u, v in ties)
     assert len(links) <= 1 and all(line[u & 63] != line[v & 63] for u, v in links)
     assert not any(tie(u, v) for u, v in compared)
+
+
+@pytest.mark.parametrize("config", CROSS_LINE_TIES)
+def test_a_time_on_two_lines_keeps_coordinate_order(config):
+    # The tags sort 1 (code 9) one link ahead of the tie of 0 and 2 (codes
+    # 0 and 2) at the third event: the exact test moves 0 back past 1 and
+    # then asks whether 2 follows 1, so the event reads 012; the tie of 0
+    # and 2 never reaches the exact test.
+    crossings = _Crossings(_config_times(config))
+    exact, compared = crossings._exact, []
+
+    def recording_exact(u, v, base):
+        compared.append((u & 63, v & 63))
+        return exact(u, v, base)
+
+    crossings._exact = recording_exact
+    assert crossings.codes == [0, 9, 2]
+    assert crossings.letters(256)[:6] == "021012"
+    assert (9, 0) in compared and (9, 2) in compared
+    assert (0, 2) not in compared and (2, 0) not in compared
+
+
+def test_times_on_two_lines_match_exact_events():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # Two coordinates on one line from the origin, and a third started so
+    # that it crosses with them at the m-th crossing of the first: the three
+    # meet at one time t > 0, the third in any place.
+    slopes = ["1", "2", "sqrt(2)", "2*sqrt(2)", "sqrt(3)", "sqrt(2)/2", "1+sqrt(2)", "(1+sqrt(5))/2"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(slopes), min_size=2, max_size=2, unique=True),
+           st.sampled_from(["1", "2", "1/2", "2/3"]), st.integers(1, 3), st.integers(0, 2))
+    def check(line, ratio, m, lone):
+        a, b = map(parse_number, line)
+        x = rational(m) / a * b
+        d = [a, a * parse_number(ratio)]
+        rho = [rational(0), rational(0)]
+        d.insert(lone, b)
+        rho.insert(lone, x.floor() + 1 - x if x != x.floor() else rational(0))
+        config = BilliardConfig(d=tuple(d), rho=tuple(rho))
+        assert billiard_word(config).prefix(1000) == _event_word(config, 1000)
+
+    check()
 
 
 def test_batch_tags_stay_under_a_bound_set_by_k(monkeypatch):
