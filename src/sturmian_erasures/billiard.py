@@ -298,9 +298,70 @@ def billiard_word(config):
     return WordStream(source="billiard", pump=_Crossings(_config_times(config)).letters)
 
 
+def _quotients(x):
+    """Yield a_1, a_2, ... of x = [0; a_1, a_2, ...], irrational, 0 < x < 1.
+    Euclid runs on both ends of lo <= 2**k * den * x <= hi, yielding each
+    new quotient a_i they share as it comes; k doubles when more are needed."""
+    known, k = 1, 64  # a_0 = 0 is not yielded
+    while True:
+        lo, hi = _enclose(x._ints, k)
+        p, q, r, s, i = lo, x._den << k, hi, x._den << k, 0
+        while q and s and p // q == r // s:
+            a = p // q
+            if i == known:
+                known += 1
+                yield a
+            p, q, r, s, i = q, p - a * q, s, r - a * s, i + 1
+        k *= 2
+
+
+def _characteristic(alpha):
+    """Yield (unit, copies) pairs whose letters, in order, are c_alpha:
+    s_1 = 0^(a_1 - 1) 1, then s_(n-1)^(a_n - 1) s_(n-2) for n >= 2.  s_n is
+    built only when the next pair is asked for, so after all its letters."""
+    quotients = _quotients(alpha)
+    a = next(quotients)
+    yield "0", a - 1
+    yield "1", 1
+    prev, cur = "0", "0" * (a - 1) + "1"
+    for a in quotients:
+        yield cur, a - 1
+        yield prev, 1
+        prev, cur = cur, cur * a + prev
+
+
 def mechanical_stream(alpha, rho):
     """The word s(n) = floor((n+1)a + r) - floor(na + r), n >= 0, for
-    0 < a < 1 and 0 <= r < 1, read off a two-coordinate billiard.
+    0 < a < 1 and 0 <= r < 1: the characteristic word from a's continued
+    fraction when r = 0 and a is irrational, else read off a two-coordinate
+    billiard.
+
+    Characteristic word.  s(0) = floor(a) = 0, and for n >= 1 s(n) =
+    floor((n+1)a) - floor(na) = c_a(n - 1), c_a(n) = floor((n+2)a) -
+    floor((n+1)a), the characteristic word: s = "0" c_a.  For irrational
+    a = [0; a_1, a_2, ...], c_a is the limit of the standard words s_(-1) = 1,
+    s_0 = 0, s_1 = s_0^(a_1 - 1) s_(-1), s_n = s_(n-1)^(a_n) s_(n-2)
+    (Lothaire, Algebraic Combinatorics on Words, ch. 2).
+
+    Quotients.  Euclid's algorithm on a fraction y_0 takes the Gauss steps
+    a_i = floor(y_i), y_(i+1) = 1/(y_i - a_i) until a remainder is zero.
+    Divided by 2**k * den, the enclosure gives rationals l < a < h, strict
+    as a is irrational.  Suppose both ends share a_0..a_j.  Then a's complete
+    quotient y_i lies between theirs for each i <= j: floor is monotone, so
+    a_i is also a's; a's remainder lies in (0, 1) like theirs (nonzero, as
+    theirs went on and a's is irrational), and 1/(y - a_i) is monotone on
+    (a_i, a_i + 1), so y_(i+1) again lies between theirs.  So each shared
+    quotient is a's.  And each of a's is shared at some k: the reals whose
+    first quotients are a_0..a_j form an interval with rational ends, so a
+    lies inside it, and the enclosure narrows to a as k doubles.
+
+    Pieces.  s_n = s_(n-1) t_n with t_n = s_(n-1)^(a_n - 1) s_(n-2), so s_n =
+    s_1 t_2 ... t_n, and s_n is a prefix of s_(n+1), of length at least
+    |s_(n-1)| + |s_(n-2)| for n >= 2: the pieces s_1, t_2, t_3, ... in order
+    spell lim s_n = c_a.  t_n is made of s_(n-1), the letters produced
+    before it, and s_(n-2), a prefix of them or the letter 0: so a piece is
+    built from letters already produced, and a huge a_n costs only the
+    copies that are read.
 
     Swap.  Let b = 1 - a and c = 1 - r.  As (n+1)b + c = n+2 - ((n+1)a + r)
     and ceil(-x) = -floor(x), u(n) = ceil((n+1)b + c) - ceil(nb + c) is
@@ -324,12 +385,40 @@ def mechanical_stream(alpha, rho):
         raise ValueError("alpha must satisfy 0 < alpha < 1")
     if rho.floor():
         raise ValueError("rho must satisfy 0 <= rho < 1")
-    head, rho = ("0", alpha) if rho.is_zero() else ("", rho)
-    beta, zero = 1 - alpha, rational(0)
-    y0, y1 = (rho, zero) if (rho - beta).sign() < 0 else (zero, 1 - rho)
-    crossings = _Crossings({0: (beta, y0), 1: (alpha, y1)})
-    swap = str.maketrans("01", "10")
-    stream = WordStream(lambda need: crossings.letters(need).translate(swap), "mechanical")
+    if rho.is_zero() and not alpha.is_rational():
+        head, pieces, unit, copies, at = "0", _characteristic(alpha), "", 0, 0
+
+        def pump(need):
+            """Exactly need letters: whole copies of a unit at once, and a
+            slice of one where a read starts or ends inside it."""
+            nonlocal unit, copies, at
+            out = []
+            while need:
+                while not copies:
+                    unit, copies = next(pieces)
+                if at or need < len(unit):
+                    piece = unit[at : at + need]
+                    at += len(piece)
+                    if at == len(unit):
+                        at, copies = 0, copies - 1
+                else:
+                    whole = min(copies, need // len(unit))
+                    piece, copies = unit * whole, copies - whole
+                out.append(piece)
+                need -= len(piece)
+            return "".join(out)
+
+    else:
+        head, rho = ("0", alpha) if rho.is_zero() else ("", rho)
+        beta, zero = 1 - alpha, rational(0)
+        y0, y1 = (rho, zero) if (rho - beta).sign() < 0 else (zero, 1 - rho)
+        crossings = _Crossings({0: (beta, y0), 1: (alpha, y1)})
+        swap = str.maketrans("01", "10")
+
+        def pump(need):
+            return crossings.letters(need).translate(swap)
+
+    stream = WordStream(pump, "mechanical")
     stream._buf = head
     return stream
 

@@ -316,6 +316,88 @@ def test_mechanical_tiny_slope_takes_no_exact_floor_per_letter(monkeypatch):
     assert len(floors) < 100
 
 
+TINY = "sqrt(2)-1414213562373095048801688724/1000000000000000000000000000"
+
+
+def _characteristic_corpus(seed, count):
+    """Irrational slopes for rho = 0: two quartic ones, 1/sqrt(999999999999)
+    (a_1 about 10**6), the tiny slope (a_1 about 7*10**27), then count seeded
+    quadratic ones (sqrt(d) - a)/q."""
+    rng = random.Random(seed)
+    slopes = ["sqrt(2)+sqrt(3)-3", "sqrt(6)-sqrt(5)", "1/sqrt(999999999999)", TINY]
+    for _ in range(count):
+        d, q = rng.choice([2, 3, 5, 6, 7, 10, 11, 13, 19, 21, 31, 43, 94, 1001]), rng.randint(1, 7)
+        root = math.isqrt(d)
+        slopes.append(f"(sqrt({d})-{rng.randint(root - q + 1, root)})/{q}")
+    return list(map(parse_number, slopes))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_characteristic_words_match_exact_floors(seed):
+    # The standard-word path against one exact floor per letter, read in
+    # chunks of 1, 7, 64 and 300 letters, so that reads start and end inside
+    # a unit and inside a run of its copies.
+    sizes = itertools.cycle((1, 7, 64, 300))
+    for alpha in _characteristic_corpus(seed, 16):
+        stream, word = mechanical_stream(alpha, rational(0)), ""
+        while len(word) < 1500:
+            word = stream.prefix(min(1500, len(word) + next(sizes)))
+        assert word == _floor_word(alpha, rational(0), 1500), alpha
+
+
+def _continued_fraction(x, count):
+    """a_1..a_count of x = [0; a_1, a_2, ...] by exact floors and the exact
+    1/(x - a)."""
+    quotients = []
+    for _ in range(count + 1):
+        quotients.append(x.floor())
+        x = 1 / (x - quotients[-1])
+    return quotients[1:]
+
+
+def test_partial_quotients_match_exact_continued_fractions(monkeypatch):
+    ks = []
+    enclose = billiard_module._enclose
+    monkeypatch.setattr(billiard_module, "_enclose", lambda ints, k: ks.append(k) or enclose(ints, k))
+    for alpha in _characteristic_corpus(31, 16):
+        quotients = list(islice(billiard_module._quotients(alpha), 40))
+        assert quotients == _continued_fraction(alpha, 40), alpha
+    # The tiny slope's 64-bit enclosure does not give a_1: the precision
+    # doubles before the first quotient.
+    ks.clear()
+    assert next(billiard_module._quotients(parse_number(TINY))) > 10**27
+    assert ks[0] == 64 and len(ks) > 1
+
+
+def test_characteristic_word_of_a_tiny_slope_reads_in_bounded_pieces():
+    # s_1 = 0^(a_1 - 1) 1 with a_1 about 7*10**27 is only ever read in part:
+    # no pump call returns more than it was asked for and the letters before.
+    stream = mechanical_stream(parse_number(TINY), rational(0))
+    pump, produced = stream._pump, [len(stream._buf)]
+
+    def bounded(need):
+        chunk = pump(need)
+        assert len(chunk) <= need + produced[0]
+        produced[0] += len(chunk)
+        return chunk
+
+    stream._pump = bounded
+    start, word = time.perf_counter(), ""
+    while len(word) < 20000:
+        word = stream.prefix(len(word) + 64)
+    assert time.perf_counter() - start < 1
+    assert word == "0" * 20032
+
+
+def test_rational_slopes_from_zero_stay_on_the_billiard(monkeypatch):
+    # A rational slope's enclosure is exact: its quotients are never read.
+    monkeypatch.setattr(billiard_module, "_quotients", None)
+    alpha = parse_number("5/13")
+    stream = mechanical_stream(alpha, rational(0))
+    assert stream.prefix(100) == _floor_word(alpha, rational(0), 100)
+    assert _crossings_of(stream).period == 13
+
+
 def _rational_mechanical_corpus(seed, count):
     """Seeded (p, q, u): slope p/q in lowest terms, q <= 40, from rho = u/q,
     half of them from rho = 0."""
