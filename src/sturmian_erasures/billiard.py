@@ -60,6 +60,28 @@ def _config_times(config):
     return {i: (x, config.rho[i] * x) for i, x in xs.items()}
 
 
+_CAP = 4096  # the most letters a batch orders, and the longest period kept
+_DIGITS = bytes.maketrans(bytes(range(3)), b"012")
+
+
+class _Ring:
+    """Reads of n = need clamped to [256, _CAP] letters of a purely periodic
+    word.  The first read orders the period, order(k) giving about k more
+    letters, k the missing letters and 16 more, at most n; a ring of it
+    repeated, at most 2*period + _CAP letters, serves every read."""
+
+    def __init__(self, period, order):
+        self.period, self.order, self.ring, self.at = period, order, "", 0
+
+    def letters(self, need):
+        n, word = min(max(need, 256), _CAP), ""
+        while not self.ring and len(word) < self.period:  # the first read
+            word += self.order(min(n, self.period - len(word) + 16))
+        self.ring = self.ring or word[: self.period] * (_CAP // self.period + 2)
+        at, self.at = self.at, (self.at + n) % self.period
+        return self.ring[at : at + n]
+
+
 class _Crossings:
     """Coordinate i = moving[pos] crosses x = m at t = m*x_i - y_i from m = 1
     if y_i else 0, (x_i, y_i) = times[i] with 0 <= y_i <= x_i; table[pos] =
@@ -137,8 +159,8 @@ class _Crossings:
         self.directions = len({v for v, _ in bases})
         span = math.lcm(*(p for _, p, _ in self.lines))
         period = sum(span // p for _, p, _ in self.lines) if self.directions == 1 else 0
-        self.period = period if period <= 4096 else 0  # longer ones stay on the batches
-        self.ring, self.at = "", 0
+        self.period = period if period <= _CAP else 0  # longer ones stay on the batches
+        self.ring = None
         # Class rows of v and t0, zero coefficients dropped.
         self.rows = [[{key: c for key, c in zip(keys, row) if c}
                       for row in (v, [n * x - a for x, a in zip(v, y)])]
@@ -177,19 +199,12 @@ class _Crossings:
         }) or a - b
 
     def letters(self, need):
-        """About n letters of the next events, n = need clamped to [256, 4096].
-        The first call orders a period of at most 4096 letters, in batches of
-        the missing letters and 16 more, and the ring then serves the rest."""
-        n = min(max(need, 256), 4096)
-        if self.period and not self.ring:
-            word = ""
-            while len(word) < self.period:
-                word += self._batch(min(n, self.period - len(word) + 16))
-            self.ring = word[: self.period] * (4096 // self.period + 2)
-        if not self.ring:
-            return self._batch(n)
-        at, self.at = self.at, (self.at + n) % self.period
-        return self.ring[at : at + n]
+        """About n letters of the next events, n = need clamped to [256, _CAP]:
+        one batch, or with a period a _Ring's letters, ordered by batches."""
+        if not self.period:
+            return self._batch(min(max(need, 256), _CAP))
+        self.ring = self.ring or _Ring(self.period, self._batch)
+        return self.ring.letters(need)
 
     def _batch(self, n):
         """One batch of about n letters of the ordering path, 16 <= n <= 4096.
@@ -289,13 +304,43 @@ def event_stream(config):
         yield CrossingEvent(t=_make(row, crossings.den), omega=tuple(map(int, block)))
 
 
+def _coding(times):
+    """The letters pump of the coding of times = {i: (x_i, y_i)}: one integer
+    sort of one period when every x_i and y_i is rational and the period has
+    at most _CAP letters, else _Crossings(times).letters.
+
+    The integer path is _Crossings' one-direction argument with v = 1/Q, Q
+    the lcm of the denominators: X_i = Q*x_i and Y_i = Q*y_i are integers
+    with 0 <= Y_i <= X_i, and coordinate i crosses at T = m*X_i - Y_i in
+    units of v, from m = 1 if Y_i else 0, so its first crossing lies at
+    -Y_i mod X_i in [0, X_i) and the next ones X_i apart.  L = lcm(X_i) is a
+    multiple of every X_i, so adding L/X_i to each m adds L to each time:
+    the word is the crossings in [0, L), sum(L/X_i) letters, repeated.  The
+    tag 4*T + i sorts by time, ties in coordinate order as i < 4."""
+    zs = [*chain(*times.values())]
+    if all(z.is_rational() for z in zs):
+        q = math.lcm(*[z._den for z in zs])
+        ints = [z._ints.get(1, 0) * (q // z._den) for z in zs]
+        xs, span = ints[::2], math.lcm(*ints[::2])
+        period = sum(span // x for x in xs)
+        if period <= _CAP:
+            tags = [range(4 * (-y % x) + i, 4 * span, 4 * x) for i, x, y in zip(times, xs, ints[1::2])]
+
+            def order(_):
+                merged = sorted(chain(*tags))
+                return bytes(map(mod, merged, repeat(4))).translate(_DIGITS).decode()
+
+            return _Ring(period, order).letters
+    return _Crossings(times).letters
+
+
 def billiard_word(config):
     """The coding as a stream over 0, 1, 2.
 
     Each event contributes one block: its crossing coordinates in ascending
     order, so simultaneous crossings appear as "01", "02", "12" or "012".
     """
-    return WordStream(source="billiard", pump=_Crossings(_config_times(config)).letters)
+    return WordStream(source="billiard", pump=_coding(_config_times(config)))
 
 
 def _quotients(x):
@@ -334,7 +379,8 @@ def mechanical_stream(alpha, rho):
     """The word s(n) = floor((n+1)a + r) - floor(na + r), n >= 0, for
     0 < a < 1 and 0 <= r < 1: the characteristic word from a's continued
     fraction when r = 0 and a is irrational, else read off a two-coordinate
-    billiard.
+    billiard by _coding, which sorts the q letters of one period of a = p/q
+    once, as integers, from a rational r.
 
     Characteristic word.  s(0) = floor(a) = 0, and for n >= 1 s(n) =
     floor((n+1)a) - floor(na) = c_a(n - 1), c_a(n) = floor((n+2)a) -
@@ -412,11 +458,10 @@ def mechanical_stream(alpha, rho):
         head, rho = ("0", alpha) if rho.is_zero() else ("", rho)
         beta, zero = 1 - alpha, rational(0)
         y0, y1 = (rho, zero) if (rho - beta).sign() < 0 else (zero, 1 - rho)
-        crossings = _Crossings({0: (beta, y0), 1: (alpha, y1)})
-        swap = str.maketrans("01", "10")
+        letters, swap = _coding({0: (beta, y0), 1: (alpha, y1)}), str.maketrans("01", "10")
 
         def pump(need):
-            return crossings.letters(need).translate(swap)
+            return letters(need).translate(swap)
 
     stream = WordStream(pump, "mechanical")
     stream._buf = head

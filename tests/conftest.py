@@ -1,5 +1,6 @@
-"""Shared helpers: cached streams, the recoded projections of a ternary
-morphism, and the perturbed two-letter corpus."""
+"""Shared helpers: cached streams, the batches-alone reference for billiard
+codings, the recoded projections of a ternary morphism, and the perturbed
+two-letter corpus."""
 
 import random
 from functools import lru_cache
@@ -12,12 +13,21 @@ from sturmian_erasures import (
     fibonacci_stream,
     st_membership,
 )
+from sturmian_erasures.billiard import _Crossings
 from sturmian_erasures.morphisms import E, ID2, PHI, PHIT
 
 
 @lru_cache(maxsize=8)
 def fib_prefix(length):
     return fibonacci_stream().prefix(length)
+
+
+def batches_alone(times):
+    """_Crossings(times).letters with no period: every letter from a batch,
+    the reference for the integer path and for _Crossings' own ring."""
+    crossings = _Crossings(times)
+    crossings.period = 0
+    return crossings.letters
 
 
 def projection_restriction(f, i, j):

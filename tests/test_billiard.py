@@ -27,6 +27,9 @@ from sturmian_erasures import (
 import sturmian_erasures.billiard as billiard_module
 from sturmian_erasures.billiard import _config_times, _Crossings
 from sturmian_erasures.exactnum import _make, _sign_of
+from sturmian_erasures.words import WordStream
+
+from conftest import batches_alone
 
 THETA = parse_number("(1+sqrt(5))/2")
 GOLDEN = BilliardConfig(
@@ -872,15 +875,33 @@ def _chunked(prefix):
     return word
 
 
+def _is_rational(config):
+    return all(x.is_rational() for x in config.d + config.rho)
+
+
+def _owner(stream):
+    """The _Ring (integer path) or _Crossings whose letters a billiard
+    stream's pump reads."""
+    return stream._pump.__self__
+
+
+def _ring_of(stream):
+    """The _Ring that serves a periodic billiard stream's letters."""
+    owner = _owner(stream)
+    return owner if isinstance(owner, billiard_module._Ring) else owner.ring
+
+
 @pytest.mark.parametrize("config, whole", SINGLE_CLASS, ids=range(len(SINGLE_CLASS)))
 def test_single_class_words_match_the_reference(config, whole):
     length = sum(CHUNKS)
     expected = list(itertools.islice(_reference_events(config), length))
     word = "".join("".join(map(str, e.omega)) for e in expected)[:length]
     stream = billiard_word(config)
-    assert stream._pump.__self__.period == sum(whole) <= length // 3
+    # Rational rows take the integer path, the others _Crossings' own ring.
+    assert isinstance(_owner(stream), billiard_module._Ring if _is_rational(config) else _Crossings)
+    assert _owner(stream).period == sum(whole) <= length // 3
     assert _chunked(stream.prefix) == word
-    assert stream._pump.__self__.ring  # the later letters came from the period
+    assert _ring_of(stream).ring  # the later letters came from the period
     # The ordinary path, the batches alone, gives the same letters.
     ordinary = _Crossings(_config_times(config))
     ordinary.period = 0
@@ -897,6 +918,11 @@ def test_single_class_period_and_classification(config, whole):
     assert classify(config) in ("Periodic", "Degenerate")
     assert _Crossings(_config_times(config)).period == sum(whole)
     assert math.gcd(*whole) == 1 and sum(whole) > 0
+
+
+def _batch_word(config, length):
+    """The first length letters of the coding of config, from the batches alone."""
+    return WordStream(batches_alone(_config_times(config))).prefix(length)
 
 
 def _sorts(monkeypatch):
@@ -928,15 +954,18 @@ def _batches_to_period(config):
     (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["1/2", "0", "1/3"]), 4),
 ])
 def test_periodic_streams_order_one_period(config, period, monkeypatch):
-    batches = _batches_to_period(config)
+    # The integer path sorts once; _Crossings takes the batches it needs.
+    batches = 1 if _is_rational(config) else _batches_to_period(config)
+    ordinary = _batch_word(config, 3 * period)
     stream = billiard_word(config)
     calls = _sorts(monkeypatch)
-    assert stream._pump.__self__.period == period
+    assert _owner(stream).period == period
     word = stream.prefix(10**6)
     assert len(calls) == batches
     assert word == word[:period] * (10**6 // period) + word[: 10**6 % period]
+    assert word[: 3 * period] == ordinary
     # The ring holds the period and at most one batch cap of letters past it.
-    assert len(stream._pump.__self__.ring) <= 2 * period + 4096
+    assert len(_ring_of(stream).ring) <= 2 * period + 4096
     stream.prefix(2 * 10**6)
     assert len(calls) == batches
 
@@ -956,3 +985,63 @@ def test_other_streams_stay_on_the_batches(d, monkeypatch):
     stream.prefix(10**5)
     assert len(calls) >= 10**5 // 4096 and not stream._pump.__self__.ring
     assert stream.prefix(3000) == _event_word(config, 3000)
+
+
+# -- rational codings: one integer sort of one period ------------------------
+
+# (config, period): a coordinate at rest from a start on a face, ties at
+# t = 0 and at later times, several denominators in rho and d, period 1,
+# and the batch cap itself.
+INTEGER_CODINGS = [
+    (_config(["2", "3", "0"], ["0", "0", "1/2"]), 5),
+    (_config(["3", "5", "7"], ["0", "0", "0"]), 15),
+    (_config(["2", "4", "2"], ["0", "1/2", "0"]), 4),
+    (_config(["2", "2", "1"], ["1/2", "1/2", "0"]), 5),
+    (_config(["3", "5", "7"], ["1/2", "1/3", "2/5"]), 15),
+    (_config(["1/2", "5/3", "7/4"], ["1/6", "0", "3/4"]), 47),
+    (_config(["0", "5/3", "0"], ["0", "1/7", "0"]), 1),
+    (_config(["1", "2047", "2048"], ["0", "0", "0"]), 4096),
+]
+
+
+def _rational_corpus(seed, count):
+    """Seeded rational directions, some coordinates at rest, from rational
+    starts with several denominators, some on a face: (config, period)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        moving = rng.choice([[0, 1, 2], [0, 1, 2], [0, 1], [1, 2], [0, 2], [2]])
+        ratios = [Fraction(rng.randint(1, 12), rng.randint(1, 5)) if i in moving else Fraction(0)
+                  for i in range(3)]
+        rho = [Fraction(rng.randrange(q), q) for q in (rng.randint(1, 7) for _ in range(3))]
+        whole = [int(r * math.lcm(*(r.denominator for r in ratios))) for r in ratios]
+        config = BilliardConfig(d=tuple(map(rational, ratios)), rho=tuple(map(rational, rho)))
+        yield config, sum(whole) // math.gcd(*whole)
+
+
+@pytest.mark.parametrize(
+    "config, period", INTEGER_CODINGS + list(_rational_corpus(3201, 24)),
+    ids=range(len(INTEGER_CODINGS) + 24),
+)
+def test_integer_path_matches_the_batches_and_exact_events(config, period):
+    # Two periods and more, read in chunks that end anywhere in a period,
+    # against the batches alone and one exactly ordered event at a time.
+    length = max(2 * period + 301, sum(CHUNKS))
+    stream = billiard_word(config)
+    assert isinstance(_owner(stream), billiard_module._Ring) and _owner(stream).period == period
+    word = ""
+    for size in itertools.cycle(CHUNKS):
+        if len(word) >= length:
+            break
+        word = stream.prefix(min(length, len(word) + size))
+    assert word == _batch_word(config, length) == _event_word(config, length)
+
+
+@pytest.mark.parametrize("d, rho", [
+    (["1", "2048", "2048"], ["0", "0", "0"]),  # 4097 letters a period
+    (["3", "5", "7"], ["0", "sqrt(2)/2", "0"]),  # irrational rows
+])
+def test_other_rational_directions_stay_on_crossings(d, rho):
+    config = _config(d, rho)
+    stream = billiard_word(config)
+    assert isinstance(_owner(stream), _Crossings)
+    assert stream.prefix(9000) == _event_word(config, 9000)

@@ -37,7 +37,7 @@ import sturmian_erasures.exactnum as exactnum
 import sturmian_erasures.words as words_module
 from sturmian_erasures.morphisms import ID2, PHI, Morphism, compose
 
-from conftest import fib_prefix
+from conftest import batches_alone, fib_prefix
 
 FIB13 = "0100101001001"
 
@@ -395,7 +395,8 @@ def test_rational_slopes_from_zero_stay_on_the_billiard(monkeypatch):
     alpha = parse_number("5/13")
     stream = mechanical_stream(alpha, rational(0))
     assert stream.prefix(100) == _floor_word(alpha, rational(0), 100)
-    assert _crossings_of(stream).period == 13
+    assert isinstance(_letters_of(stream), billiard_module._Ring)
+    assert _letters_of(stream).period == 13
 
 
 def _rational_mechanical_corpus(seed, count):
@@ -408,36 +409,42 @@ def _rational_mechanical_corpus(seed, count):
         yield p, q, rng.randrange(1, q) if pos % 2 else 0
 
 
-# Rational slopes from irrational starts: rho is given as text.
+# Rational slopes from irrational starts, where rho is given as text, stay
+# on _Crossings, as does a period over the batch cap; 1/4096 is the cap.
 RATIONAL_MECHANICAL = list(_rational_mechanical_corpus(2302, 16)) + [
     (5, 13, "sqrt(2)/2"), (3, 8, "sqrt(3)/3"), (1, 2, "sqrt(5)-2"), (11, 17, "1-sqrt(2)/2"),
+    (1, 4096, 0), (2049, 4097, 5),
 ]
 
 
-def _crossings_of(stream):
-    """The _Crossings object that a mechanical stream's pump reads."""
-    return inspect.getclosurevars(stream._pump).nonlocals["crossings"]
+def _letters_of(stream):
+    """The _Ring (integer path) or _Crossings whose letters a mechanical
+    stream's pump reads."""
+    return inspect.getclosurevars(stream._pump).nonlocals["letters"].__self__
 
 
 @pytest.mark.parametrize("p, q, u", RATIONAL_MECHANICAL)
-def test_rational_mechanical_words_repeat_their_period(p, q, u):
+def test_rational_mechanical_words_repeat_their_period(p, q, u, monkeypatch):
     # Reads of 1, 63, 300 and 5000 letters end anywhere in a period, and the
     # ordinary path, the batches alone, gives the same letters.
     alpha, rho = rational(p) / q, parse_number(u) if isinstance(u, str) else rational(u) / q
     expected = _floor_word(alpha, rho, 5364)
-    stream, ordinary = mechanical_stream(alpha, rho), mechanical_stream(alpha, rho)
-    assert _crossings_of(stream).period == q
-    _crossings_of(ordinary).period = 0
+    stream = mechanical_stream(alpha, rho)
+    integer = isinstance(u, int) and q <= 4096
+    assert isinstance(_letters_of(stream), billiard_module._Ring if integer else billiard_module._Crossings)
+    assert _letters_of(stream).period == (q if q <= 4096 else 0)
+    monkeypatch.setattr(billiard_module, "_coding", batches_alone)
+    ordinary = mechanical_stream(alpha, rho)
     word = ""
     for size in (1, 63, 300, 5000):
         word = stream.prefix(len(word) + size)
     assert word == expected == ordinary.prefix(5364)
-    assert _crossings_of(stream).ring and not _crossings_of(ordinary).ring
+    assert bool(_letters_of(stream).ring) == (q <= 4096) and not _letters_of(ordinary).ring
 
 
 def test_rational_mechanical_orders_one_batch(monkeypatch):
-    # 5/13 has 13 letters a period: the first batch orders it, and a
-    # million letters later no other batch has run.
+    # 5/13 has 13 letters a period: one sort orders it, and a million
+    # letters later no other sort has run.
     stream = mechanical_stream(parse_number("5/13"), parse_number("1/13"))
     sorts = []
     monkeypatch.setattr(billiard_module, "sorted", lambda tags: sorts.append(1) or sorted(tags),
@@ -446,6 +453,7 @@ def test_rational_mechanical_orders_one_batch(monkeypatch):
     assert len(sorts) == 1
     period = _floor_word(rational(5) / 13, rational(1) / 13, 13)
     assert word == (period * (10**6 // 13 + 1))[: 10**6]
+    assert len(_letters_of(stream).ring) <= 2 * 13 + 4096
 
 
 def test_mechanical_irrational_complexity():
