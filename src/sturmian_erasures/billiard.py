@@ -64,107 +64,100 @@ _CAP = 4096  # the most letters a batch orders, and the longest period kept
 _DIGITS = bytes.maketrans(bytes(range(3)), b"012")
 
 
+def _lines(times):
+    """(den, keys, table, firsts, lines, rows, directions) for times =
+    {i: (x_i, y_i)}, 0 <= y_i <= x_i: coordinate i = list(times)[pos]
+    crosses x = m at t = m*x_i - y_i from m = firsts[pos], 1 if y_i else 0,
+    and table[pos] = (X, Y), integer rows over the sorted keys with x_i =
+    sum(X*sqrt(key))/den and y_i likewise.  Square roots of distinct
+    square-free keys are independent over Q: equal times have equal rows.
+
+    Line classes.  In a class every x_i row is a positive multiple P*v of
+    one primitive row v and the y_i rows differ by multiples of v, so each
+    crossing time of a member is t0 + n*v, t0 the class's first crossing
+    and n = m*P - C >= 0; lines[pos] = (class, P, C), rows[class] =
+    (v, t0).  A class is keyed by v and y = y_i - floor(y_i[k]/v[k])*v, k
+    the index of the greatest entry of v, positive as x_i > 0; so equal
+    times, whose y_a - y_b lie in Z*v, lie in one class at one n.  With one
+    key, v = (1,) and y = 0.  A direction is one distinct v."""
+    zs = [*chain(*times.values())]
+    den = math.lcm(*[z._den for z in zs])
+    keys = sorted(set().union(*[z._ints for z in zs]))
+    # The rows of den*x_i and den*y_i, straight from their integers.
+    rows = [*zip(*[[z._ints.get(key, 0) * (den // z._den) for z in zs] for key in keys])]
+    table = [*zip(rows[::2], rows[1::2])]
+    if len(keys) == 1:  # one class: P = X and C = Y
+        firsts = [1 if y else 0 for _, (y,) in table]
+        least = min(m * x - y for m, ((x,), (y,)) in zip(firsts, table))
+        lines = [(0, x, y + least) for (x,), (y,) in table]
+        return den, keys, table, firsts, lines, [((1,), (least,))], 1
+    firsts, lines, bases = [], [], {}  # (v, y) -> [class, least n]
+    for xs, ys in table:
+        p = math.gcd(*xs)
+        v = tuple([x // p for x in xs])
+        k = v.index(max(v))  # v[k] > 0, as x_i > 0
+        c = ys[k] // v[k]  # y_i = y + c*v, 0 <= y[k] < v[k]: one y a class
+        m = 1 if any(ys) else 0
+        n = m * p - c  # t = n*v - y
+        base = bases.setdefault((v, tuple([a - c * x for a, x in zip(ys, v)])), [len(bases), n])
+        base[1] = min(base[1], n)
+        firsts.append(m)
+        lines.append((base, p, c))
+    # Shift each class's n so that its earliest first crossing has n = 0.
+    lines = [(cls, p, c + n) for (cls, n), p, c in lines]
+    rows = [(v, tuple(map(sub, map(n.__mul__, v), y))) for (v, y), (_, n) in bases.items()]
+    return den, keys, table, firsts, lines, rows, len({v for v, _ in bases})
+
+
 class _Ring:
     """Reads of n = need clamped to [256, _CAP] letters of a purely periodic
-    word.  The first read orders the period, order(k) giving about k more
-    letters, k the missing letters and 16 more, at most n; a ring of it
-    repeated, at most 2*period + _CAP letters, serves every read."""
+    word from a ring, at most 2*period + _CAP letters, of one period
+    repeated: the first read sorts tags, ranges whose values mod 4 spell it."""
 
-    def __init__(self, period, order):
-        self.period, self.order, self.ring, self.at = period, order, "", 0
+    def __init__(self, period, tags):
+        self.period, self.tags, self.ring, self.at = period, tags, "", 0
 
     def letters(self, need):
-        n, word = min(max(need, 256), _CAP), ""
-        while not self.ring and len(word) < self.period:  # the first read
-            word += self.order(min(n, self.period - len(word) + 16))
-        self.ring = self.ring or word[: self.period] * (_CAP // self.period + 2)
+        if not self.ring:
+            merged = sorted(chain(*self.tags))
+            word = bytes(map(mod, merged, repeat(4))).translate(_DIGITS).decode()
+            self.ring = word * (_CAP // self.period + 2)
+        n = min(max(need, 256), _CAP)
         at, self.at = self.at, (self.at + n) % self.period
         return self.ring[at : at + n]
 
 
 class _Crossings:
-    """Coordinate i = moving[pos] crosses x = m at t = m*x_i - y_i from m = 1
-    if y_i else 0, (x_i, y_i) = times[i] with 0 <= y_i <= x_i; table[pos] =
-    [(key, X, Y), ...] over one sorted key list, x_i = sum(X*sqrt(key))/den and
-    y_i likewise.  lo[pos] <= 2**k * den * t <= lo[pos] + a + m*b encloses
-    the time t at which coordinate moving[pos] next crosses x = m =
-    counters[pos], (a, b) = spans[pos]; each crossing moves lo[pos] on by
-    steps[pos], the lower bound of 2**k * den * x_i.
+    """The batches that order the crossings of times = {i: (x_i, y_i)}, with
+    lines = _lines(times) when not given, its rows as table[pos] =
+    [(key, X, Y), ...] and rows[class] = [v, t0], {key: c} without zeros.
+    lo[pos] <= 2**k * den * t <= lo[pos] + a + m*b encloses the time t at
+    which coordinate moving[pos] next crosses x = m = counters[pos],
+    (a, b) = spans[pos]; each crossing moves lo[pos] on by steps[pos], the
+    lower bound of 2**k * den * x_i.
 
-    The coordinates fall into line classes.  In a class every x_i row is a
-    positive multiple P*v of one primitive integer row v, and the y_i rows
-    differ by integer multiples of v, so every crossing time of a member is
-    t0 + n*v with t0 the class's first crossing and n = m*P - C >= 0 an
-    integer; lines[pos] = (class, P, C).  A class is keyed by v and its one
-    row y = y_i - floor(y_i[k]/v[k])*v, k the index of the greatest entry
-    of v, which is positive as x_i > 0.  Members enclose their times as
-    enclose(t0) + n*enclose(v): lower bounds strictly increase with n, and
-    two crossings are equal exactly when their n are, and then so are their
-    lower bounds, so _batch() never compares such ties; _exact, the sign of
-    a time-row difference, is the only exact order test.  A class of one
-    keeps the tight enclosure of its first crossing, as its t0 is that
-    crossing.  At any k a row encloses to a width of the sum of |c| over
-    its irrational keys, t for t0 and v for v, so a member's enclosure is
-    t + n*v = a + m*b wide.  Steps grow as 2**k: a 64-bit reading of
-    the shortest step s sets k, the least k >= 1 with
-    2**(k-64)*s >= max(4*(W + 2), W << 20) for W = width().
-    _batch() still doubles k >= 1 while 4*(W + 1) > s, so each batch
-    starts from 4*(W + 1) <= s, and its proofs that no cluster holds two
-    crossings of one coordinate and that every batch commits need no more.
+    Members of a line class enclose their times as enclose(t0) +
+    n*enclose(v): lower bounds strictly increase with n, and two crossings
+    are equal exactly when their n are, and then so are their lower bounds,
+    so letters() never compares such ties; _exact, the sign of a time-row
+    difference, is the only exact order test.  A class of one keeps the
+    tight enclosure of its first crossing, as its t0 is that crossing.  At
+    any k a row encloses to a width of the sum of |c| over its irrational
+    keys, t for t0 and v for v, so a member's enclosure is t + n*v = a + m*b
+    wide.  Steps grow as 2**k: a 64-bit reading of the shortest step s sets
+    k, the least k >= 1 with 2**(k-64)*s >= max(4*(W + 2), W << 20) for
+    W = width().  letters() still doubles k >= 1 while 4*(W + 1) > s, so
+    each batch starts from 4*(W + 1) <= s, and its proofs that no cluster
+    holds two crossings of one coordinate and that every batch commits need
+    no more."""
 
-    A direction is one distinct v; directions counts them, and classify()
-    reads it.  One direction makes the word purely periodic.  First, the
-    crossings of member i with t >= 0 are exactly those with m >= its first
-    m: the one before is at -y_i < 0 when y_i > 0 (the first m is 1), and at
-    -x_i < 0 when y_i = 0 (it is 0).  So the word is every crossing with
-    t >= 0, in time order, ties in coordinate order.  Second, with
-    L = lcm(P_i), adding L/P_i to every member's m adds L to its n and so
-    L*v to its time, in every class alike: a bijection of the crossings
-    with t >= 0 onto those with t >= L*v that keeps their order and ties.
-    The word is thus the crossings in [0, L*v), then the word again: it
-    repeats from letter 0, and as x_i = P_i*v, member i crosses L/P_i times
-    in [0, L*v), so a period has sum(L/P_i) letters.  Ties still happen only
-    inside one line class, as two times are equal exactly when their rows
-    are, and equal rows put y_a - y_b in Z*v.  period is that count, or 0
-    with two directions or more, or when it exceeds 4096, the batch cap,
-    so that the ring letters() repeats stays small: a long period,
-    sum(d_i) = 2*10**9 + 17 for d = (10**9+7, 10**9+9, 1), stays on the
-    batches."""
-
-    def __init__(self, times):
-        self.moving, zs = list(times), [*chain(*times.values())]
-        den = self.den = math.lcm(*[z._den for z in zs])
-        keys = sorted(set().union(*[z._ints for z in zs]))
-        # The rows of den*x_i and den*y_i, straight from their integers.
-        rows = [[c * (den // z._den) for c in map(z._ints.get, keys, repeat(0))] for z in zs]
-        self.table, self.counters, self.lines, bases = [], [], [], {}  # (v, y) -> [class, least n]
-        for xs, ys in zip(rows[::2], rows[1::2]):
-            self.table.append(list(zip(keys, xs, ys)))
-            m = 1 if any(ys) else 0
-            self.counters.append(m)
-            p = math.gcd(*xs)
-            v = tuple([x // p for x in xs])
-            k = v.index(max(v))  # v[k] > 0, as x_i > 0
-            c = ys[k] // v[k]  # y_i = y + c*v, 0 <= y[k] < v[k]: one y a class
-            y = tuple([a - c * x for a, x in zip(ys, v)])
-            # t = n*v - y with n = m*p - c.
-            base = bases.setdefault((v, y), [len(bases), m * p - c])
-            base[1] = min(base[1], m * p - c)
-            self.lines.append((base[0], p, c))
-        # Shift each class's n so that its earliest first crossing has n = 0.
-        least = [n for _, n in bases.values()]
-        self.lines = [(cls, p, c + least[cls]) for cls, p, c in self.lines]
-        self.codes = [8 * cls + i for i, (cls, _, _) in zip(self.moving, self.lines)]  # see _batch
+    def __init__(self, times, lines=None):
+        self.moving = list(times)
+        _, keys, table, self.counters, self.lines, rows, _ = lines or _lines(times)
+        self.table = [[*zip(keys, xs, ys)] for xs, ys in table]
+        self.rows = [[{key: c for key, c in zip(keys, row) if c} for row in vt] for vt in rows]
+        self.codes = [8 * cls + i for i, (cls, _, _) in zip(self.moving, self.lines)]  # see letters
         self.decode = bytes.maketrans(bytes(self.codes), "".join(map(str, self.moving)).encode())
-        self.directions = len({v for v, _ in bases})
-        span = math.lcm(*(p for _, p, _ in self.lines))
-        period = sum(span // p for _, p, _ in self.lines) if self.directions == 1 else 0
-        self.period = period if period <= _CAP else 0  # longer ones stay on the batches
-        self.ring = None
-        # Class rows of v and t0, zero coefficients dropped.
-        self.rows = [[{key: c for key, c in zip(keys, row) if c}
-                      for row in (v, [n * x - a for x, a in zip(v, y)])]
-                     for (v, y), (_, n) in bases.items()]
         spreads = [[sum(map(abs, r.values())) - abs(r.get(1, 0)) for r in rs] for rs in self.rows]
         self.spans = [(t - c * v, p * v) for cls, p, c in self.lines for v, t in [spreads[cls]]]
         width = self.width()
@@ -199,15 +192,8 @@ class _Crossings:
         }) or a - b
 
     def letters(self, need):
-        """About n letters of the next events, n = need clamped to [256, _CAP]:
-        one batch, or with a period a _Ring's letters, ordered by batches."""
-        if not self.period:
-            return self._batch(min(max(need, 256), _CAP))
-        self.ring = self.ring or _Ring(self.period, self._batch)
-        return self.ring.letters(need)
-
-    def _batch(self, n):
-        """One batch of about n letters of the ordering path, 16 <= n <= 4096.
+        """One batch of about n letters of the next events, n = need clamped
+        to [256, _CAP].
 
         Each coordinate's lower bounds form a progression.  Below a horizon
         c it adds its crossings and one sentinel at or past c, each tagged
@@ -240,7 +226,7 @@ class _Crossings:
         S + 2*W as the crossing before it is committed or before 0; and
         c - base < 4112*s, 4*W < s.
         """
-        width = self.width()
+        n, width = min(max(need, 256), _CAP), self.width()
         while 4 * (width + 1) > min(self.steps):
             self._enclose_at(2 * self.k)
         lo, steps, base = self.lo, self.steps, min(self.lo)
@@ -286,52 +272,65 @@ def event_stream(config):
     m - rho_i >= 0 and then at every following integer; coordinates with
     d_i = 0 never cross.  Simultaneous crossings fuse into one event.
 
-    The events group billiard_word's letters by crossing time.  Letter i at
-    x = m has the time row {key: m*X - Y} over one key list and one den, and
-    square roots of distinct square-free keys are independent over Q, so two
-    times are equal exactly when their rows are.
+    The events group the letters of billiard_word's pump, _coding, by
+    crossing time, equal exactly when the time rows {key: m*X - Y} are.
     """
-    crossings = _Crossings(_config_times(config))
-    rows = dict(zip(crossings.moving, crossings.table))
-    ms = {str(i): count(m) for i, m in zip(crossings.moving, crossings.counters)}
+    times = _config_times(config)
+    lines = _lines(times)
+    den, keys, table, firsts = lines[:4]
+    rows = dict(zip(map(str, times), table))
+    ms = {str(i): count(m) for i, m in zip(times, firsts)}
 
     def time_row(letter):
-        m = next(ms[letter])
-        return {key: m * x - y for key, x, y in rows[int(letter)]}
+        m, (xs, ys) = next(ms[letter]), rows[letter]
+        return {key: m * x - y for key, x, y in zip(keys, xs, ys)}
 
-    letters = chain.from_iterable(map(crossings.letters, repeat(256)))
+    letters = chain.from_iterable(map(_coding(times, lines), repeat(256)))
     for row, block in groupby(letters, time_row):
-        yield CrossingEvent(t=_make(row, crossings.den), omega=tuple(map(int, block)))
+        yield CrossingEvent(t=_make(row, den), omega=tuple(map(int, block)))
 
 
-def _coding(times):
-    """The letters pump of the coding of times = {i: (x_i, y_i)}: one integer
-    sort of one period when every x_i and y_i is rational and the period has
-    at most _CAP letters, else _Crossings(times).letters.
+def _coding(times, lines=None):
+    """The letters pump of the coding of times = {i: (x_i, y_i)}, lines =
+    _lines(times) when not given: one integer sort of a period (a _Ring)
+    when the coordinates have one direction v and the period has at most
+    _CAP letters, else the batches of _Crossings.
 
-    The integer path is _Crossings' one-direction argument with v = 1/Q, Q
-    the lcm of the denominators: X_i = Q*x_i and Y_i = Q*y_i are integers
-    with 0 <= Y_i <= X_i, and coordinate i crosses at T = m*X_i - Y_i in
-    units of v, from m = 1 if Y_i else 0, so its first crossing lies at
-    -Y_i mod X_i in [0, X_i) and the next ones X_i apart.  L = lcm(X_i) is a
-    multiple of every X_i, so adding L/X_i to each m adds L to each time:
-    the word is the crossings in [0, L), sum(L/X_i) letters, repeated.  The
-    tag 4*T + i sorts by time, ties in coordinate order as i < 4."""
-    zs = [*chain(*times.values())]
-    if all(z.is_rational() for z in zs):
-        q = math.lcm(*[z._den for z in zs])
-        ints = [z._ints.get(1, 0) * (q // z._den) for z in zs]
-        xs, span = ints[::2], math.lcm(*ints[::2])
-        period = sum(span // x for x in xs)
+    Period.  The crossings of member i with t >= 0 are those with m >= its
+    first m: the one before is at -y_i < 0 if y_i > 0, else at -x_i < 0.
+    With L = lcm(P_i), adding L/P_i to every m adds L to every n and L*v to
+    every time: a bijection of the crossings with t >= 0 onto those with
+    t >= L*v that keeps order and ties.  So the word is the crossings in
+    [0, L*v), the first L/P_i of each member as x_i = P_i*v, repeated: a
+    period of sum(L/P_i) letters.  A longer one, sum(d_i) = 2*10**9 + 17
+    for d = (10**9+7, 10**9+9, 1), stays on the batches.
+
+    Sort.  A crossing of class c at n lies at (n + phi_c)*v, phi_c =
+    t0_c/v >= 0.  With K classes and rank_c the rank of the fractional part
+    of phi_c among theirs, the tag 4*(K*(n + floor(phi_c)) + rank_c) + i
+    sorts by time, ties in coordinate order: integer parts first, then the
+    fractional parts, which differ between classes (phi_a - phi_b in Z puts
+    y_a - y_b in Z*v), so a tie lies in one class at one n.  With one class
+    rank and floor(phi), a shift of every tag, are taken as 0; for rational
+    rows, v = 1 and n is the integer time m*X - Y less the first one."""
+    lines = lines or _lines(times)
+    _, keys, _, firsts, classes, rows, directions = lines
+    if directions == 1:
+        ps = [p for _, p, _ in classes]
+        span = math.lcm(*ps)
+        period = sum(map(span.__floordiv__, ps))
         if period <= _CAP:
-            tags = [range(4 * (-y % x) + i, 4 * span, 4 * x) for i, x, y in zip(times, xs, ints[1::2])]
-
-            def order(_):
-                merged = sorted(chain(*tags))
-                return bytes(map(mod, merged, repeat(4))).translate(_DIGITS).decode()
-
-            return _Ring(period, order).letters
-    return _Crossings(times).letters
+            k, offsets = len(rows), [0]
+            if k > 1:
+                phis = [_make(dict(zip(keys, t0)), 1) / _make(dict(zip(keys, v)), 1) for v, t0 in rows]
+                floors = [phi.floor() for phi in phis]
+                ranks = sorted(range(k), key=lambda cls: phis[cls] - floors[cls])
+                offsets = [k * f + ranks.index(cls) for cls, f in enumerate(floors)]
+            tags = [range(t, t + 4 * k * span, 4 * k * p)
+                    for i, m, (cls, p, c) in zip(times, firsts, classes)
+                    for t in [4 * (k * (m * p - c) + offsets[cls]) + i]]
+            return _Ring(period, tags).letters
+    return _Crossings(times, lines).letters
 
 
 def billiard_word(config):
@@ -379,8 +378,8 @@ def mechanical_stream(alpha, rho):
     """The word s(n) = floor((n+1)a + r) - floor(na + r), n >= 0, for
     0 < a < 1 and 0 <= r < 1: the characteristic word from a's continued
     fraction when r = 0 and a is irrational, else read off a two-coordinate
-    billiard by _coding, which sorts the q letters of one period of a = p/q
-    once, as integers, from a rational r.
+    billiard by _coding: for a rational a = p/q, from any r, one integer
+    sort of the q letters of a period.
 
     Characteristic word.  s(0) = floor(a) = 0, and for n >= 1 s(n) =
     floor((n+1)a) - floor(na) = c_a(n - 1), c_a(n) = floor((n+2)a) -
@@ -470,7 +469,7 @@ def mechanical_stream(alpha, rho):
 
 def classify(config):
     """Coarse trajectory type from the direction alone, read off the
-    direction classes of _Crossings.
+    direction count of _lines.
 
     d_a/d_b is rational exactly when x_a/x_b is, that is, when the rows of
     x_a and x_b are proportional, as square roots of distinct square-free
@@ -480,8 +479,8 @@ def classify(config):
     Sturmian-type word; three in three directions are a candidate for
     Sturmian erasures, and three in two directions are degenerate.
     """
-    crossings = _Crossings(_config_times(config))
-    movers, directions = len(crossings.moving), crossings.directions
+    times = _config_times(config)
+    movers, directions = len(times), _lines(times)[-1]
     if directions == 1:
         return "Degenerate" if movers == 1 else "Periodic"
     if directions == 2:

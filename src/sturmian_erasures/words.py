@@ -43,16 +43,6 @@ def erase(w, letter):
     return check_word(w).replace(letter, "")
 
 
-def fibonacci_numbers(count):
-    """u_0 = 0, u_1 = 1, u_(n+1) = u_n + u_(n-1); returns u_0..u_(count-1)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out = [0, 1]
-    while len(out) < count:
-        out.append(out[-1] + out[-2])
-    return out[:count]
-
-
 class WordStream:
     """Lazily extensible prefix of an infinite word.
 

@@ -1,6 +1,6 @@
 """Shared helpers: cached streams, the batches-alone reference for billiard
-codings, the recoded projections of a ternary morphism, and the perturbed
-two-letter corpus."""
+codings, the Fibonacci numbers, the recoded projections of a ternary
+morphism, and the perturbed two-letter corpus."""
 
 import random
 from functools import lru_cache
@@ -23,11 +23,19 @@ def fib_prefix(length):
 
 
 def batches_alone(times):
-    """_Crossings(times).letters with no period: every letter from a batch,
-    the reference for the integer path and for _Crossings' own ring."""
-    crossings = _Crossings(times)
-    crossings.period = 0
-    return crossings.letters
+    """_Crossings(times).letters: every letter from a batch, the reference
+    for the one integer sort of a period."""
+    return _Crossings(times).letters
+
+
+def fibonacci_numbers(count):
+    """u_0 = 0, u_1 = 1, u_(n+1) = u_n + u_(n-1); returns u_0..u_(count-1)."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    out = [0, 1]
+    while len(out) < count:
+        out.append(out[-1] + out[-2])
+    return out[:count]
 
 
 def projection_restriction(f, i, j):

@@ -19,7 +19,6 @@ from sturmian_erasures import (
     compose,
     determinant,
     erase,
-    fibonacci_numbers,
     fibonacci_stream,
     incidence,
     intercalate,
@@ -35,7 +34,13 @@ from sturmian_erasures import (
 )
 from sturmian_erasures.cli import run
 
-from conftest import fib_prefix, perturbed_st_corpus, projection_restriction, random_st_member
+from conftest import (
+    fib_prefix,
+    fibonacci_numbers,
+    perturbed_st_corpus,
+    projection_restriction,
+    random_st_member,
+)
 
 EX1_G = parse_morphism("0=02,1=10,2=")
 EX2_F = parse_morphism("0=0,1=1,2=012")

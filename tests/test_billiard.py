@@ -25,7 +25,7 @@ from sturmian_erasures import (
     wse_verdict,
 )
 import sturmian_erasures.billiard as billiard_module
-from sturmian_erasures.billiard import _config_times, _Crossings
+from sturmian_erasures.billiard import _config_times, _Crossings, _lines, _Ring
 from sturmian_erasures.exactnum import _make, _sign_of
 from sturmian_erasures.words import WordStream
 
@@ -818,17 +818,22 @@ def _quadratic_corpus(seed, count):
 @pytest.mark.parametrize("seed", range(4))
 def test_classify_matches_the_ratio_reference(seed):
     for config in _quadratic_corpus(2401 + seed, 100):
-        crossings = _Crossings(_config_times(config))
+        times = _config_times(config)
+        directions, owner = _lines(times)[-1], _owner(billiard_word(config))
         kind = classify(config)
         assert kind == _ratio_classify(config), config
-        assert (kind == "Periodic" or len(crossings.moving) == 1) == (crossings.directions == 1)
-        if crossings.directions == 1:
+        assert (kind == "Periodic" or len(times) == 1) == (directions == 1)
+        if directions == 1:
             # sum(L/P_i) is sum(D), D the primitive integer vector along d.
             first = next(x for x in config.d if x.sign())
             ratios = [(x / first).coords.get(1, Fraction(0)) for x in config.d]
             whole = [int(r * math.lcm(*(r.denominator for r in ratios))) for r in ratios]
             letters = sum(whole) // math.gcd(*whole)
-            assert crossings.period == (letters if letters <= 4096 else 0), config
+            # One sort of a period of at most 4096 letters, else the batches.
+            assert isinstance(owner, _Ring if letters <= 4096 else _Crossings), config
+            assert letters > 4096 or owner.period == letters, config
+        else:
+            assert isinstance(owner, _Crossings), config
 
 
 # -- one-direction codings: one period ordered, then repeated ----------------
@@ -863,6 +868,39 @@ SINGLE_CLASS = list(_single_class_corpus(2301, 24)) + [
     (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["sqrt(3)/3", "0", "0"]), [1, 1, 2]),
     (_config(["1", "1", "0"], ["sqrt(2)/2", "0", "0"]), [1, 1, 0]),
 ]
+
+
+def _one_direction_corpus(seed, count):
+    """Seeded one-direction codings that are not all rational: d = b*D, D
+    a primitive vector of small integers, some 0, and b rational or
+    a + c*sqrt(k) with k in {2, 3, 5}, from starts drawn from STARTS or
+    from its rational ones, so that one, two and three line classes occur:
+    (config, D)."""
+    rng = random.Random(seed)
+    while count:
+        whole = [rng.choice([0, 0, *range(1, 10)]) for _ in range(3)]
+        a, c = (rational(Fraction(rng.randint(lo, 3), rng.randint(1, 3))) for lo in (-3, 1))
+        base = rng.choice([c, a + c * sqrt(rng.choice([2, 3, 5]))])
+        rho = tuple(map(parse_number, rng.choices(rng.choice([STARTS[:3], STARTS]), k=3)))
+        if any(whole) and base.sign() > 0 and not all(x.is_rational() for x in (base, *rho)):
+            whole = [x // math.gcd(*whole) for x in whole]
+            count -= 1
+            yield BilliardConfig(d=tuple(base * rational(x) for x in whole), rho=rho), whole
+
+
+ONE_DIRECTION = list(_one_direction_corpus(3302, 24))
+
+
+def test_one_direction_corpus_covers_its_kinds():
+    # Rational directions from irrational starts and quadratic directions,
+    # each with one, two and three line classes.
+    kinds = set()
+    for config, _ in ONE_DIRECTION:
+        classes = len(_lines(_config_times(config))[-2])
+        kinds.add((all(x.is_rational() for x in config.d), classes))
+    assert kinds == {(rational_d, k) for rational_d in (True, False) for k in (1, 2, 3)}
+
+
 CHUNKS = (1, 63, 300, 5000)
 
 
@@ -875,48 +913,41 @@ def _chunked(prefix):
     return word
 
 
-def _is_rational(config):
-    return all(x.is_rational() for x in config.d + config.rho)
-
-
 def _owner(stream):
-    """The _Ring (integer path) or _Crossings whose letters a billiard
+    """The _Ring (one integer sort) or _Crossings whose letters a billiard
     stream's pump reads."""
     return stream._pump.__self__
 
 
-def _ring_of(stream):
-    """The _Ring that serves a periodic billiard stream's letters."""
-    owner = _owner(stream)
-    return owner if isinstance(owner, billiard_module._Ring) else owner.ring
+SINGLE_CLASS_IDS = [*range(len(SINGLE_CLASS)),
+                    *(f"one-direction-{n}" for n in range(len(ONE_DIRECTION)))]
 
 
-@pytest.mark.parametrize("config, whole", SINGLE_CLASS, ids=range(len(SINGLE_CLASS)))
+@pytest.mark.parametrize("config, whole", SINGLE_CLASS + ONE_DIRECTION, ids=SINGLE_CLASS_IDS)
 def test_single_class_words_match_the_reference(config, whole):
     length = sum(CHUNKS)
     expected = list(itertools.islice(_reference_events(config), length))
     word = "".join("".join(map(str, e.omega)) for e in expected)[:length]
     stream = billiard_word(config)
-    # Rational rows take the integer path, the others _Crossings' own ring.
-    assert isinstance(_owner(stream), billiard_module._Ring if _is_rational(config) else _Crossings)
+    # Every one-direction coding of a period of at most 4096 letters is one sort.
+    assert isinstance(_owner(stream), _Ring)
     assert _owner(stream).period == sum(whole) <= length // 3
     assert _chunked(stream.prefix) == word
-    assert _ring_of(stream).ring  # the later letters came from the period
-    # The ordinary path, the batches alone, gives the same letters.
+    assert _owner(stream).ring  # the later letters came from the period
+    # The batches alone give the same letters.
     ordinary = _Crossings(_config_times(config))
-    ordinary.period = 0
     got = ""
     while len(got) < length:
         got += ordinary.letters(length - len(got))
-    assert got[:length] == word and not ordinary.ring
+    assert got[:length] == word
     events = _events(config, len(expected))
     assert events == expected
 
 
-@pytest.mark.parametrize("config, whole", SINGLE_CLASS, ids=range(len(SINGLE_CLASS)))
+@pytest.mark.parametrize("config, whole", SINGLE_CLASS + ONE_DIRECTION, ids=SINGLE_CLASS_IDS)
 def test_single_class_period_and_classification(config, whole):
     assert classify(config) in ("Periodic", "Degenerate")
-    assert _Crossings(_config_times(config)).period == sum(whole)
+    assert _owner(billiard_word(config)).period == sum(whole)
     assert math.gcd(*whole) == 1 and sum(whole) > 0
 
 
@@ -936,38 +967,25 @@ def _sorts(monkeypatch):
     return calls
 
 
-def _batches_to_period(config):
-    """Batches the ordinary path takes to order one period of a 10**6-letter
-    read, as WordStream.prefix asks for it."""
-    crossings = _Crossings(_config_times(config))
-    period, crossings.period = crossings.period, 0
-    have = batches = 0
-    while have < period:
-        have += len(crossings.letters(10**6 - have))
-        batches += 1
-    return batches
-
-
 @pytest.mark.parametrize("config, period", [
     (_config(["3", "5", "7"], ["0", "1/2", "1/3"]), 15),
     (_config(["1", "2048", "2047"], ["0", "0", "0"]), 4096),
     (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["1/2", "0", "1/3"]), 4),
 ])
 def test_periodic_streams_order_one_period(config, period, monkeypatch):
-    # The integer path sorts once; _Crossings takes the batches it needs.
-    batches = 1 if _is_rational(config) else _batches_to_period(config)
+    # One sort orders the period, rational rows or not.
     ordinary = _batch_word(config, 3 * period)
     stream = billiard_word(config)
     calls = _sorts(monkeypatch)
     assert _owner(stream).period == period
     word = stream.prefix(10**6)
-    assert len(calls) == batches
+    assert len(calls) == 1
     assert word == word[:period] * (10**6 // period) + word[: 10**6 % period]
     assert word[: 3 * period] == ordinary
     # The ring holds the period and at most one batch cap of letters past it.
-    assert len(_ring_of(stream).ring) <= 2 * period + 4096
+    assert len(_owner(stream).ring) <= 2 * period + 4096
     stream.prefix(2 * 10**6)
-    assert len(calls) == batches
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d", [
@@ -979,15 +997,16 @@ def test_periodic_streams_order_one_period(config, period, monkeypatch):
 ])
 def test_other_streams_stay_on_the_batches(d, monkeypatch):
     config = _config(d, ["0", "0", "0"])
-    assert _Crossings(_config_times(config)).period == 0
     stream = billiard_word(config)
+    # _Crossings keeps only the batches: no period, and no ring.
+    assert isinstance(_owner(stream), _Crossings) and not {"period", "ring"} & set(vars(_owner(stream)))
     calls = _sorts(monkeypatch)
     stream.prefix(10**5)
-    assert len(calls) >= 10**5 // 4096 and not stream._pump.__self__.ring
+    assert len(calls) >= 10**5 // 4096
     assert stream.prefix(3000) == _event_word(config, 3000)
 
 
-# -- rational codings: one integer sort of one period ------------------------
+# -- one-direction codings: one integer sort of one period -------------------
 
 # (config, period): a coordinate at rest from a start on a face, ties at
 # t = 0 and at later times, several denominators in rho and d, period 1,
@@ -1018,16 +1037,19 @@ def _rational_corpus(seed, count):
         yield config, sum(whole) // math.gcd(*whole)
 
 
-@pytest.mark.parametrize(
-    "config, period", INTEGER_CODINGS + list(_rational_corpus(3201, 24)),
-    ids=range(len(INTEGER_CODINGS) + 24),
-)
+# The rational codings, then the one-direction ones off the rational rows.
+ONE_SORT = INTEGER_CODINGS + list(_rational_corpus(3201, 24)) + [
+    (config, sum(whole)) for config, whole in SINGLE_CLASS[24:] + ONE_DIRECTION
+]
+
+
+@pytest.mark.parametrize("config, period", ONE_SORT, ids=range(len(ONE_SORT)))
 def test_integer_path_matches_the_batches_and_exact_events(config, period):
     # Two periods and more, read in chunks that end anywhere in a period,
     # against the batches alone and one exactly ordered event at a time.
     length = max(2 * period + 301, sum(CHUNKS))
     stream = billiard_word(config)
-    assert isinstance(_owner(stream), billiard_module._Ring) and _owner(stream).period == period
+    assert isinstance(_owner(stream), _Ring) and _owner(stream).period == period
     word = ""
     for size in itertools.cycle(CHUNKS):
         if len(word) >= length:
@@ -1038,10 +1060,23 @@ def test_integer_path_matches_the_batches_and_exact_events(config, period):
 
 @pytest.mark.parametrize("d, rho", [
     (["1", "2048", "2048"], ["0", "0", "0"]),  # 4097 letters a period
-    (["3", "5", "7"], ["0", "sqrt(2)/2", "0"]),  # irrational rows
 ])
 def test_other_rational_directions_stay_on_crossings(d, rho):
     config = _config(d, rho)
     stream = billiard_word(config)
     assert isinstance(_owner(stream), _Crossings)
     assert stream.prefix(9000) == _event_word(config, 9000)
+
+
+@pytest.mark.parametrize("config", [config for config, _ in ONE_SORT[:32] + SINGLE_CLASS[24:26]])
+def test_one_key_lines_match_the_general_classes(config):
+    # Rows over one key take one class at once.  Times scaled by 1 + sqrt(2)
+    # keep their order and have two keys, so the general class loop sees
+    # them: it must give the same first crossings, lines and directions.
+    times = _config_times(config)
+    scale = rational(1) + sqrt(2)
+    scaled = {i: (x * scale, y * scale) for i, (x, y) in times.items()}
+    one, general = _lines(times), _lines(scaled)
+    assert len(one[1]) == 1 and len(general[1]) == 2
+    assert one[3:5] == general[3:5] and one[6] == general[6] == 1
+    assert len(one[5]) == len(general[5]) == 1

@@ -10,7 +10,6 @@ from sturmian_erasures import (
     classify_letters,
     compose,
     determinant,
-    fibonacci_numbers,
     format_morphism,
     incidence,
     is_unit,
@@ -28,6 +27,8 @@ from sturmian_erasures.morphisms import (
     PHIT1,
     PI2,
 )
+
+from conftest import fibonacci_numbers
 
 EX1_G = parse_morphism("0=02,1=10,2=")
 EX2_F = parse_morphism("0=0,1=1,2=012")

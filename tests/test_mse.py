@@ -14,7 +14,6 @@ from sturmian_erasures import (
     apply,
     compose,
     erase,
-    fibonacci_numbers,
     incidence,
     intercalate,
     is_unit,
@@ -30,7 +29,7 @@ from sturmian_erasures.cli import run
 from sturmian_erasures.morphisms import E0, E2, ID3, PHI1, PHIT1, PI2
 from sturmian_erasures.mse import _RECODE
 
-from conftest import fib_prefix, projection_restriction
+from conftest import fib_prefix, fibonacci_numbers, projection_restriction
 
 EX1_G = parse_morphism("0=02,1=10,2=")
 EX2_F = parse_morphism("0=0,1=1,2=012")

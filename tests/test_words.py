@@ -19,7 +19,6 @@ from sturmian_erasures import (
     billiard_word,
     complexity,
     erase,
-    fibonacci_numbers,
     fibonacci_stream,
     fixed_point_stream,
     literal_stream,
@@ -37,7 +36,7 @@ import sturmian_erasures.exactnum as exactnum
 import sturmian_erasures.words as words_module
 from sturmian_erasures.morphisms import ID2, PHI, Morphism, compose
 
-from conftest import batches_alone, fib_prefix
+from conftest import batches_alone, fib_prefix, fibonacci_numbers
 
 FIB13 = "0100101001001"
 
@@ -409,8 +408,9 @@ def _rational_mechanical_corpus(seed, count):
         yield p, q, rng.randrange(1, q) if pos % 2 else 0
 
 
-# Rational slopes from irrational starts, where rho is given as text, stay
-# on _Crossings, as does a period over the batch cap; 1/4096 is the cap.
+# Rational slopes from irrational starts, where rho is given as text, take
+# one sort too; a period over the batch cap stays on _Crossings, and 1/4096
+# is the cap.
 RATIONAL_MECHANICAL = list(_rational_mechanical_corpus(2302, 16)) + [
     (5, 13, "sqrt(2)/2"), (3, 8, "sqrt(3)/3"), (1, 2, "sqrt(5)-2"), (11, 17, "1-sqrt(2)/2"),
     (1, 4096, 0), (2049, 4097, 5),
@@ -418,7 +418,7 @@ RATIONAL_MECHANICAL = list(_rational_mechanical_corpus(2302, 16)) + [
 
 
 def _letters_of(stream):
-    """The _Ring (integer path) or _Crossings whose letters a mechanical
+    """The _Ring (one integer sort) or _Crossings whose letters a mechanical
     stream's pump reads."""
     return inspect.getclosurevars(stream._pump).nonlocals["letters"].__self__
 
@@ -430,16 +430,16 @@ def test_rational_mechanical_words_repeat_their_period(p, q, u, monkeypatch):
     alpha, rho = rational(p) / q, parse_number(u) if isinstance(u, str) else rational(u) / q
     expected = _floor_word(alpha, rho, 5364)
     stream = mechanical_stream(alpha, rho)
-    integer = isinstance(u, int) and q <= 4096
-    assert isinstance(_letters_of(stream), billiard_module._Ring if integer else billiard_module._Crossings)
-    assert _letters_of(stream).period == (q if q <= 4096 else 0)
+    assert isinstance(_letters_of(stream), billiard_module._Ring if q <= 4096 else billiard_module._Crossings)
+    assert q > 4096 or _letters_of(stream).period == q
     monkeypatch.setattr(billiard_module, "_coding", batches_alone)
     ordinary = mechanical_stream(alpha, rho)
     word = ""
     for size in (1, 63, 300, 5000):
         word = stream.prefix(len(word) + size)
     assert word == expected == ordinary.prefix(5364)
-    assert bool(_letters_of(stream).ring) == (q <= 4096) and not _letters_of(ordinary).ring
+    assert q > 4096 or _letters_of(stream).ring
+    assert isinstance(_letters_of(ordinary), billiard_module._Crossings)
 
 
 def test_rational_mechanical_orders_one_batch(monkeypatch):
