@@ -15,7 +15,7 @@ from itertools import chain, compress, count, groupby, repeat
 from operator import le, mod, sub
 
 from . import _EXPORTS
-from .exactnum import SqrtBasisNumber, _enclose, _make, _sign_of, rational
+from .exactnum import SqrtBasisNumber, _enclose, _floor_of, _make, _sign_of, rational
 from .records import Record
 from .words import WordStream
 
@@ -110,18 +110,13 @@ def _lines(times):
 
 
 class _Ring:
-    """Reads of n = need clamped to [256, _CAP] letters of a purely periodic
-    word from a ring, at most 2*period + _CAP letters, of one period
-    repeated: the first read sorts tags, ranges whose values mod 4 spell it."""
+    """Reads of need clamped to [256, _CAP] letters of a purely periodic
+    word, from its period repeated: a ring of at most 2*period + _CAP."""
 
-    def __init__(self, period, tags):
-        self.period, self.tags, self.ring, self.at = period, tags, "", 0
+    def __init__(self, word):
+        self.period, self.ring, self.at = len(word), word * (_CAP // len(word) + 2), 0
 
     def letters(self, need):
-        if not self.ring:
-            merged = sorted(chain(*self.tags))
-            word = bytes(map(mod, merged, repeat(4))).translate(_DIGITS).decode()
-            self.ring = word * (_CAP // self.period + 2)
         n = min(max(need, 256), _CAP)
         at, self.at = self.at, (self.at + n) % self.period
         return self.ring[at : at + n]
@@ -294,7 +289,7 @@ def _coding(times, lines=None):
     """The letters pump of the coding of times = {i: (x_i, y_i)}, lines =
     _lines(times) when not given: one integer sort of a period (a _Ring)
     when the coordinates have one direction v and the period has at most
-    _CAP letters, else the batches of _Crossings.
+    _CAP letters, sorted and spelled here, else the batches of _Crossings.
 
     Period.  The crossings of member i with t >= 0 are those with m >= its
     first m: the one before is at -y_i < 0 if y_i > 0, else at -x_i < 0.
@@ -326,10 +321,10 @@ def _coding(times, lines=None):
                 floors = [phi.floor() for phi in phis]
                 ranks = sorted(range(k), key=lambda cls: phis[cls] - floors[cls])
                 offsets = [k * f + ranks.index(cls) for cls, f in enumerate(floors)]
-            tags = [range(t, t + 4 * k * span, 4 * k * p)
-                    for i, m, (cls, p, c) in zip(times, firsts, classes)
-                    for t in [4 * (k * (m * p - c) + offsets[cls]) + i]]
-            return _Ring(period, tags).letters
+            tags = sorted(chain(*[range(t, t + 4 * k * span, 4 * k * p)
+                                  for i, m, (cls, p, c) in zip(times, firsts, classes)
+                                  for t in [4 * (k * (m * p - c) + offsets[cls]) + i]]))
+            return _Ring(bytes(map(mod, tags, repeat(4))).translate(_DIGITS).decode()).letters
     return _Crossings(times, lines).letters
 
 
@@ -360,12 +355,12 @@ def _quotients(x):
 
 
 def _characteristic(alpha):
-    """Yield (unit, copies) pairs whose letters, in order, are c_alpha:
-    s_1 = 0^(a_1 - 1) 1, then s_(n-1)^(a_n - 1) s_(n-2) for n >= 2.  s_n is
-    built only when the next pair is asked for, so after all its letters."""
+    """Yield (unit, copies) pairs whose letters, in order, are "0" c_alpha:
+    0^(a_1) 1, then s_(n-1)^(a_n - 1) s_(n-2) for n >= 2.  s_n is built
+    only when the next pair is asked for, so after all its letters."""
     quotients = _quotients(alpha)
     a = next(quotients)
-    yield "0", a - 1
+    yield "0", a
     yield "1", 1
     prev, cur = "0", "0" * (a - 1) + "1"
     for a in quotients:
@@ -378,8 +373,8 @@ def mechanical_stream(alpha, rho):
     """The word s(n) = floor((n+1)a + r) - floor(na + r), n >= 0, for
     0 < a < 1 and 0 <= r < 1: the characteristic word from a's continued
     fraction when r = 0 and a is irrational, else read off a two-coordinate
-    billiard by _coding: for a rational a = p/q, from any r, one integer
-    sort of the q letters of a period.
+    billiard by _coding: for a rational a = p/q, one integer sort of the q
+    letters of a period, from r' = (u + 1/2)/q, u = floor(q*r).
 
     Characteristic word.  s(0) = floor(a) = 0, and for n >= 1 s(n) =
     floor((n+1)a) - floor(na) = c_a(n - 1), c_a(n) = floor((n+2)a) -
@@ -419,10 +414,14 @@ def mechanical_stream(alpha, rho):
     follows k - 1 ones and floor(a*t + r'_0) zeros, t = (k - r'_1)/b, so it
     is letter k - 1 + floor(a*t + r'_0) = floor((k - c')/b) with
     c' = b(1 - r'_0) + a*r'_1.  The starts (0, (1-r)/a, 0) for r >= b and
-    (r/b, 0, 0) for 0 < r < b give c' = c, so the coding is u.  No start
-    gives c' = 1, but s = "0" + (the word of a, a) as floor(a) = 0.  Scaled
-    by ab > 0 the times keep their order: coordinate 0 crosses x = m at
+    (r/b, 0, 0) for 0 < r < b give c' = c, so the coding is u.  Scaled by
+    ab > 0 the times keep their order: coordinate 0 crosses x = m at
     m*b - r_0*b and coordinate 1 at m*a - r_1*a.
+
+    Start rule.  floor((N + y)/q) = floor((N + floor(y))/q) for integers N
+    and q >= 1, as no multiple of q lies in (M, M + 1), M = N + floor(y).
+    So for a = p/q, s depends on r only through u = floor(qr): it is the
+    word from r' = (u + 1/2)/q > 0, whose rows are rational, one line class.
     """
     if not isinstance(alpha, SqrtBasisNumber) or not isinstance(rho, SqrtBasisNumber):
         raise ValueError("alpha and rho must be SqrtBasisNumber values")
@@ -430,8 +429,11 @@ def mechanical_stream(alpha, rho):
         raise ValueError("alpha must satisfy 0 < alpha < 1")
     if rho.floor():
         raise ValueError("rho must satisfy 0 <= rho < 1")
-    if rho.is_zero() and not alpha.is_rational():
-        head, pieces, unit, copies, at = "0", _characteristic(alpha), "", 0, 0
+    if alpha.is_rational():  # the start rule: r' = (u + 1/2)/q
+        u = _floor_of({key: alpha._den * c for key, c in rho._ints.items()}, rho._den)
+        rho = _make({1: 2 * u + 1}, 2 * alpha._den)
+    if rho.is_zero():
+        pieces, unit, copies, at = _characteristic(alpha), "", 0, 0
 
         def pump(need):
             """Exactly need letters: whole copies of a unit at once, and a
@@ -454,7 +456,6 @@ def mechanical_stream(alpha, rho):
             return "".join(out)
 
     else:
-        head, rho = ("0", alpha) if rho.is_zero() else ("", rho)
         beta, zero = 1 - alpha, rational(0)
         y0, y1 = (rho, zero) if (rho - beta).sign() < 0 else (zero, 1 - rho)
         letters, swap = _coding({0: (beta, y0), 1: (alpha, y1)}), str.maketrans("01", "10")
@@ -462,25 +463,23 @@ def mechanical_stream(alpha, rho):
         def pump(need):
             return letters(need).translate(swap)
 
-    stream = WordStream(pump, "mechanical")
-    stream._buf = head
-    return stream
+    return WordStream(pump, "mechanical")
 
 
 def classify(config):
-    """Coarse trajectory type from the direction alone, read off the
-    direction count of _lines.
+    """Coarse trajectory type from the direction alone: the direction
+    count of _lines over the rows of the moving d_i, each with y = 0.
 
-    d_a/d_b is rational exactly when x_a/x_b is, that is, when the rows of
-    x_a and x_b are proportional, as square roots of distinct square-free
-    keys are independent over Q: when both lie in one direction.  One
-    moving coordinate leaves a single letter; one direction gives a
-    periodic word; two moving coordinates in two directions give a
+    d_a/d_b, rational exactly when 1/d_a : 1/d_b is, is rational exactly
+    when the rows of d_a and d_b are proportional, as square roots of
+    distinct square-free keys are independent over Q: when both lie in one
+    direction.  One moving coordinate leaves a single letter; one direction
+    gives a periodic word; two moving coordinates in two directions give a
     Sturmian-type word; three in three directions are a candidate for
     Sturmian erasures, and three in two directions are degenerate.
     """
-    times = _config_times(config)
-    movers, directions = len(times), _lines(times)[-1]
+    moving = {i: (x, rational(0)) for i, x in enumerate(config.d) if not x.is_zero()}
+    movers, directions = len(moving), _lines(moving)[-1]
     if directions == 1:
         return "Degenerate" if movers == 1 else "Periodic"
     if directions == 2:

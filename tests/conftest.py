@@ -1,6 +1,6 @@
 """Shared helpers: cached streams, the batches-alone reference for billiard
-codings, the Fibonacci numbers, the recoded projections of a ternary
-morphism, and the perturbed two-letter corpus."""
+codings and a count of their sorts, the Fibonacci numbers, the recoded
+projections of a ternary morphism, and the perturbed two-letter corpus."""
 
 import random
 from functools import lru_cache
@@ -13,6 +13,7 @@ from sturmian_erasures import (
     fibonacci_stream,
     st_membership,
 )
+import sturmian_erasures.billiard as billiard_module
 from sturmian_erasures.billiard import _Crossings
 from sturmian_erasures.morphisms import E, ID2, PHI, PHIT
 
@@ -20,6 +21,19 @@ from sturmian_erasures.morphisms import E, ID2, PHI, PHIT
 @lru_cache(maxsize=8)
 def fib_prefix(length):
     return fibonacci_stream().prefix(length)
+
+
+def sort_sizes(monkeypatch):
+    """The number of items of each sort the billiard module runs from now on."""
+    sizes = []
+
+    def counting_sorted(items, **kwargs):
+        out = sorted(items, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(billiard_module, "sorted", counting_sorted, raising=False)
+    return sizes
 
 
 def batches_alone(times):

@@ -29,7 +29,7 @@ from sturmian_erasures.billiard import _config_times, _Crossings, _lines, _Ring
 from sturmian_erasures.exactnum import _make, _sign_of
 from sturmian_erasures.words import WordStream
 
-from conftest import batches_alone
+from conftest import batches_alone, sort_sizes
 
 THETA = parse_number("(1+sqrt(5))/2")
 GOLDEN = BilliardConfig(
@@ -924,7 +924,7 @@ SINGLE_CLASS_IDS = [*range(len(SINGLE_CLASS)),
 
 
 @pytest.mark.parametrize("config, whole", SINGLE_CLASS + ONE_DIRECTION, ids=SINGLE_CLASS_IDS)
-def test_single_class_words_match_the_reference(config, whole):
+def test_single_class_words_match_the_reference(config, whole, monkeypatch):
     length = sum(CHUNKS)
     expected = list(itertools.islice(_reference_events(config), length))
     word = "".join("".join(map(str, e.omega)) for e in expected)[:length]
@@ -932,8 +932,10 @@ def test_single_class_words_match_the_reference(config, whole):
     # Every one-direction coding of a period of at most 4096 letters is one sort.
     assert isinstance(_owner(stream), _Ring)
     assert _owner(stream).period == sum(whole) <= length // 3
-    assert _chunked(stream.prefix) == word
-    assert _owner(stream).ring  # the later letters came from the period
+    with monkeypatch.context() as patch:
+        sizes = sort_sizes(patch)
+        assert _chunked(stream.prefix) == word
+    assert sizes == []  # every letter read came from the period sorted at the start
     # The batches alone give the same letters.
     ordinary = _Crossings(_config_times(config))
     got = ""
@@ -956,36 +958,27 @@ def _batch_word(config, length):
     return WordStream(batches_alone(_config_times(config))).prefix(length)
 
 
-def _sorts(monkeypatch):
-    calls = []
-
-    def counting_sorted(tags):
-        calls.append(1)
-        return sorted(tags)
-
-    monkeypatch.setattr(billiard_module, "sorted", counting_sorted, raising=False)
-    return calls
-
-
 @pytest.mark.parametrize("config, period", [
     (_config(["3", "5", "7"], ["0", "1/2", "1/3"]), 15),
     (_config(["1", "2048", "2047"], ["0", "0", "0"]), 4096),
     (_config(["sqrt(2)", "sqrt(2)", "2*sqrt(2)"], ["1/2", "0", "1/3"]), 4),
 ])
 def test_periodic_streams_order_one_period(config, period, monkeypatch):
-    # One sort orders the period, rational rows or not.
+    # One sort orders the period, rational rows or not, when the stream is
+    # built, after _lines sorts the one square-free key of its rows.
     ordinary = _batch_word(config, 3 * period)
+    sizes = sort_sizes(monkeypatch)
     stream = billiard_word(config)
-    calls = _sorts(monkeypatch)
+    assert sizes == [1, period]
     assert _owner(stream).period == period
     word = stream.prefix(10**6)
-    assert len(calls) == 1
+    assert sizes == [1, period]
     assert word == word[:period] * (10**6 // period) + word[: 10**6 % period]
     assert word[: 3 * period] == ordinary
     # The ring holds the period and at most one batch cap of letters past it.
     assert len(_owner(stream).ring) <= 2 * period + 4096
     stream.prefix(2 * 10**6)
-    assert len(calls) == 1
+    assert sizes == [1, period]
 
 
 @pytest.mark.parametrize("d", [
@@ -1000,9 +993,9 @@ def test_other_streams_stay_on_the_batches(d, monkeypatch):
     stream = billiard_word(config)
     # _Crossings keeps only the batches: no period, and no ring.
     assert isinstance(_owner(stream), _Crossings) and not {"period", "ring"} & set(vars(_owner(stream)))
-    calls = _sorts(monkeypatch)
+    sizes = sort_sizes(monkeypatch)
     stream.prefix(10**5)
-    assert len(calls) >= 10**5 // 4096
+    assert len(sizes) >= 10**5 // 4096
     assert stream.prefix(3000) == _event_word(config, 3000)
 
 

@@ -36,7 +36,7 @@ import sturmian_erasures.exactnum as exactnum
 import sturmian_erasures.words as words_module
 from sturmian_erasures.morphisms import ID2, PHI, Morphism, compose
 
-from conftest import batches_alone, fib_prefix, fibonacci_numbers
+from conftest import batches_alone, fib_prefix, fibonacci_numbers, sort_sizes
 
 FIB13 = "0100101001001"
 
@@ -372,7 +372,7 @@ def test_characteristic_word_of_a_tiny_slope_reads_in_bounded_pieces():
     # s_1 = 0^(a_1 - 1) 1 with a_1 about 7*10**27 is only ever read in part:
     # no pump call returns more than it was asked for and the letters before.
     stream = mechanical_stream(parse_number(TINY), rational(0))
-    pump, produced = stream._pump, [len(stream._buf)]
+    pump, produced = stream._pump, [0]
 
     def bounded(need):
         chunk = pump(need)
@@ -432,28 +432,93 @@ def test_rational_mechanical_words_repeat_their_period(p, q, u, monkeypatch):
     stream = mechanical_stream(alpha, rho)
     assert isinstance(_letters_of(stream), billiard_module._Ring if q <= 4096 else billiard_module._Crossings)
     assert q > 4096 or _letters_of(stream).period == q
+    word = ""
+    with monkeypatch.context() as patch:
+        sizes = sort_sizes(patch)
+        for size in (1, 63, 300, 5000):
+            word = stream.prefix(len(word) + size)
+    # The period was sorted at the start: no read sorts.
+    assert q > 4096 or sizes == []
     monkeypatch.setattr(billiard_module, "_coding", batches_alone)
     ordinary = mechanical_stream(alpha, rho)
-    word = ""
-    for size in (1, 63, 300, 5000):
-        word = stream.prefix(len(word) + size)
     assert word == expected == ordinary.prefix(5364)
-    assert q > 4096 or _letters_of(stream).ring
     assert isinstance(_letters_of(ordinary), billiard_module._Crossings)
 
 
 def test_rational_mechanical_orders_one_batch(monkeypatch):
-    # 5/13 has 13 letters a period: one sort orders it, and a million
+    # 5/13 has 13 letters a period: one sort orders it when the stream is
+    # built, after _lines sorts the one key of its rows, and a million
     # letters later no other sort has run.
+    sizes = sort_sizes(monkeypatch)
     stream = mechanical_stream(parse_number("5/13"), parse_number("1/13"))
-    sorts = []
-    monkeypatch.setattr(billiard_module, "sorted", lambda tags: sorts.append(1) or sorted(tags),
-                        raising=False)
+    assert sizes == [1, 13]
     word = stream.prefix(10**6)
-    assert len(sorts) == 1
+    assert sizes == [1, 13]
     period = _floor_word(rational(5) / 13, rational(1) / 13, 13)
     assert word == (period * (10**6 // 13 + 1))[: 10**6]
     assert len(_letters_of(stream).ring) <= 2 * 13 + 4096
+
+
+def _start_rule_corpus(seed, count):
+    """Seeded slopes p/q in lowest terms, q <= 64, then 1/4096, the batch cap,
+    and 2049/4097, past it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.randint(2, 64)
+        yield rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1]), q
+    yield 1, 4096
+    yield 2049, 4097
+
+
+def _starts(q, rng):
+    """(rho, u): starts 0, u/q, sqrt(a)/b and 1 - sqrt(a)/b for a seeded
+    non-square a < b**2, each with u = floor(q*rho) by an integer square
+    root: q*sqrt(a)/b is irrational, so floor(q - q*sqrt(a)/b) is q - 1 less
+    floor(q*sqrt(a)/b), and floor(floor(x)/b) = floor(x/b)."""
+    b = rng.randint(2, 9)
+    a = rng.choice([a for a in range(2, b * b) if math.isqrt(a) ** 2 != a])
+    below = math.isqrt(q * q * a) // b
+    u = rng.randrange(q)
+    return [(rational(0), 0), (rational(u) / q, u), (parse_number(f"sqrt({a})/{b}"), below),
+            (parse_number(f"1-sqrt({a})/{b}"), q - 1 - below)]
+
+
+START_RULE = list(_start_rule_corpus(3401, 24))
+
+
+@pytest.mark.parametrize("p, q", START_RULE, ids=[f"{p}/{q}" for p, q in START_RULE])
+def test_rational_slopes_depend_on_rho_only_through_floor_q_rho(p, q):
+    # s(n) = floor(((n+1)p + u)/q) - floor((np + u)/q), u = floor(q*rho),
+    # read in chunks that end anywhere in a period, from rational rows: a
+    # period of q letters sorted once, or batches of zero width past the cap.
+    rng = random.Random(q * 4096 + p)
+    length = max(2 * q + 301, 5364)
+    for rho, u in _starts(q, rng):
+        expected = "".join(str(((n + 1) * p + u) // q - (n * p + u) // q) for n in range(length))
+        stream, word = mechanical_stream(rational(p) / q, rho), ""
+        letters = _letters_of(stream)
+        if q <= 4096:
+            assert isinstance(letters, billiard_module._Ring) and letters.period == q
+        else:
+            assert isinstance(letters, billiard_module._Crossings) and letters.width() == 0
+        for size in itertools.cycle((1, 63, 300, 5000)):
+            if len(word) >= length:
+                break
+            word = stream.prefix(min(length, len(word) + size))
+        assert word == expected, (p, q, rho)
+
+
+@pytest.mark.parametrize("alpha, rho", [
+    ("(3-sqrt(5))/2", "0"), (TINY, "0"),  # characteristic words
+    ("5/13", "0"), ("5/13", "1/13"), ("5/13", "sqrt(2)/2"), ("2049/4097", "0"),  # rational slopes
+    ("sqrt(2)-1", "1/3"), ("(sqrt(3)-1)/2", "sqrt(2)/2"),  # irrational slopes, rho != 0
+])
+def test_mechanical_streams_start_empty(alpha, rho):
+    # No path writes a letter into the buffer: each comes from the pump.
+    alpha, rho = parse_number(alpha), parse_number(rho)
+    stream = mechanical_stream(alpha, rho)
+    assert stream._buf == ""
+    assert stream.prefix(300) == _floor_word(alpha, rho, 300)
 
 
 def test_mechanical_irrational_complexity():
