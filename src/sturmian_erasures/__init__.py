@@ -26,8 +26,7 @@ _EXPORTS = {
     "words": (
         "BalanceProfile", "BoundedOutputError", "ComplexityProfile", "SturmianVerdict",
         "WordStream", "WSEVerdict", "apply_stream", "balance_order", "complexity", "erase",
-        "fibonacci_stream", "fixed_point_stream", "literal_stream", "sturmian_verdict",
-        "wse_verdict",
+        "fibonacci_stream", "fixed_point_stream", "sturmian_verdict", "wse_verdict",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -412,8 +412,6 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # The except tuple is built only once the handler has raised, so reading
-    # lib.BoundedOutputError there loads words on that path alone.
     try:
         code, *view = args.handler(args)
         try:
@@ -426,7 +424,7 @@ def run(argv=None):
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return code
-    except (ValueError, lib.BoundedOutputError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

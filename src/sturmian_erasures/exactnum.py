@@ -77,7 +77,10 @@ def _sign_of(ints):
 def _floor_of(ints, den, div=operator.floordiv):
     """floor(sum(c * sqrt(b)) / den) for integer coefficients c and den > 0,
     or its nearest float with div=operator.truediv: both round monotonically,
-    so once both ends of an enclosure round alike, so does the value."""
+    so once both ends of an enclosure round alike, so does the value.  A
+    rational value divides exactly, as int / int rounds correctly."""
+    if not any(c for b, c in ints.items() if b != 1):
+        return div(ints.get(1, 0), den)
     k = 64
     while True:
         lo, hi = _enclose(ints, k)

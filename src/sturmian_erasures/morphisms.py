@@ -105,28 +105,11 @@ def format_morphism(f):
 
 
 class IncidenceMatrix(Record):
-    """Occurrence-count matrix: entry (i, j) counts letter i in f(j)."""
+    """Occurrence-count matrix: rows[i][j] counts row_letters[i] in f(col_letters[j])."""
 
     rows: tuple
     row_letters: str
     col_letters: str
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __mul__(self, other):
-        if not isinstance(other, IncidenceMatrix):
-            return NotImplemented
-        if self.col_letters != other.row_letters:
-            raise ValueError("dimension mismatch")
-        rows = tuple(
-            tuple(
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(len(self.col_letters)))
-                for j in range(len(other.col_letters))
-            )
-            for i in range(len(self.row_letters))
-        )
-        return IncidenceMatrix(rows, self.row_letters, other.col_letters)
 
 
 def incidence(f):

@@ -25,7 +25,7 @@ __all__ = _EXPORTS["words"]
 
 
 class BoundedOutputError(RuntimeError):
-    """Raised when a stream cannot produce the requested prefix length."""
+    """Raised when a morphic image cannot produce the requested prefix length."""
 
 
 def check_word(w):
@@ -46,26 +46,25 @@ def erase(w, letter):
 class WordStream:
     """Lazily extensible prefix of an infinite word.
 
-    pump(need) returns more letters as a string, need being the number still
-    missing; it ends a finite word only by returning "".
+    pump(need) returns one or more letters as a string, need being the
+    number still missing.  The buffer starts empty: every letter comes from
+    the pump.
     """
 
     __slots__ = ("source", "_pump", "_buf")
 
-    def __init__(self, pump, source="literal"):
+    def __init__(self, pump, source):
         self.source = source
         self._pump = pump
         self._buf = ""
 
     def _read(self, start, stop):
-        """Letters start..stop-1, fewer when the word ends before stop."""
+        """Letters start..stop-1."""
         # One join per call keeps a prefix pumped in many chunks linear.
         chunks, have = [self._buf], len(self._buf)
         try:
             while have < stop:
                 chunks.append(self._pump(stop - have))
-                if not chunks[-1]:
-                    break
                 have += len(chunks[-1])
         finally:
             self._buf = "".join(chunks)
@@ -74,18 +73,7 @@ class WordStream:
     def prefix(self, length):
         if length < 0:
             raise ValueError("length must be >= 0")
-        word = self._read(0, length)
-        if len(word) < length:
-            raise BoundedOutputError(
-                f"{self.source} stream ended at {len(word)} letters, {length} requested"
-            )
-        return word
-
-
-def literal_stream(w):
-    """A stream over a fixed finite word (errors past its end)."""
-    chunks = iter((w,))
-    return WordStream(lambda _need: next(chunks, ""))
+        return self._read(0, length)
 
 
 def fixed_point_stream(f, seed):
@@ -105,22 +93,24 @@ def fixed_point_stream(f, seed):
         raise ValueError(f"morphism erases reachable letters {empty}")
 
     # f^n(seed) = seed p f(p) ... f^(n-1)(p) with p = f(seed)[len(seed):], so
-    # after f(seed) each chunk is the image of the one before it.  A pump
-    # applies f to only as much of the previous chunk as its request needs.
+    # the first pump returns f(seed), and after it each chunk is the image of
+    # the one before it.  A later pump applies f to only as much of the
+    # previous chunk as its request needs.
     longest = max(map(len, f.images.values()))
-    chunk, built, at = image[len(seed):], [], 0
+    chunk, built, at = None, [], 0
 
     def pump(need):
         nonlocal chunk, built, at
+        if chunk is None:
+            chunk = image[len(seed):]
+            return image
         if at >= len(chunk):
             chunk, built, at = "".join(built), [], 0
         start, at = at, at + max(1, need // longest)
         built.append(apply(f, chunk[start:at]))
         return built[-1]
 
-    stream = WordStream(pump, "fixed-point")
-    stream._buf = image
-    return stream
+    return WordStream(pump, "fixed-point")
 
 
 def fibonacci_stream():
@@ -135,8 +125,8 @@ def apply_stream(f, s):
     """Lazy image of a stream under a morphism.
 
     Each pump applies f to about (letters missing) // (longest image) input
-    letters, so a request is overshot by less than one image, and ends the
-    image when the source ends.  Raises BoundedOutputError when
+    letters, so a request is overshot by less than one image, and returns
+    once an image has a letter.  Raises BoundedOutputError when
     _PULL_FACTOR * L input letters yield fewer than L output letters.
     """
     longest = max([1, *map(len, f.images.values())])
@@ -148,7 +138,7 @@ def apply_stream(f, s):
             chunk = s._read(consumed, consumed + max(1, need // longest))
             consumed += len(chunk)
             image = apply(f, chunk)
-            if image or not chunk:  # an empty chunk: the source has ended
+            if image:
                 produced += len(image)
                 return image
         raise BoundedOutputError(

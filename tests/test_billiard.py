@@ -955,7 +955,7 @@ def test_single_class_period_and_classification(config, whole):
 
 def _batch_word(config, length):
     """The first length letters of the coding of config, from the batches alone."""
-    return WordStream(batches_alone(_config_times(config))).prefix(length)
+    return WordStream(batches_alone(_config_times(config)), "billiard").prefix(length)
 
 
 @pytest.mark.parametrize("config, period", [

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sturmian_erasures import SqrtBasisNumber, parse_number, rational, sqrt
+import sturmian_erasures.exactnum as exactnum
 from sturmian_erasures.exactnum import _enclose
 
 
@@ -149,6 +150,26 @@ def test_float_is_correctly_rounded():
             x = SqrtBasisNumber({p: Fraction(a, rng.randint(1, 1000)), q: b})
             x = x - rational(x.floor())
             assert float(x) == float(_to_decimal(x))
+
+
+def test_rational_floor_and_float_divide_exactly(monkeypatch):
+    # A rational value needs no enclosure: its floor is c // den, and its
+    # float c / den, which int / int rounds correctly.
+    def no_enclosure(ints, k):
+        raise AssertionError(f"rational value enclosed: {ints}")
+
+    monkeypatch.setattr(exactnum, "_enclose", no_enclosure)
+    rng = random.Random(3501)
+    values = [Fraction(-7, 2), Fraction(-6, 3), Fraction(0), Fraction(10**30 - 1, 10**30)]
+    for _ in range(2000):
+        den = rng.randint(1, 10 ** rng.randint(0, 30))
+        values.append(Fraction(rng.randint(-(10 ** rng.randint(0, 40)), 10 ** rng.randint(0, 40)), den))
+    for q in values:
+        # The second form cancels its sqrt(2) terms by arithmetic.
+        for x in (rational(q), parse_number(f"sqrt(2) + {q.numerator}/{q.denominator} - sqrt(2)")):
+            assert x.is_rational()
+            assert x.floor() == math.floor(q), q
+            assert float(x) == float(q), q
 
 
 def test_parse_number_examples():

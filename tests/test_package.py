@@ -19,7 +19,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_every_export_resolves_to_its_module():
-    assert len(pkg.__all__) == 47
+    assert len(pkg.__all__) == 46
     # Each public name is listed once: a module's __all__ is its entry.
     for module, names in pkg._EXPORTS.items():
         assert import_module(f"sturmian_erasures.{module}").__all__ is names, module

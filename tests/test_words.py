@@ -21,7 +21,6 @@ from sturmian_erasures import (
     erase,
     fibonacci_stream,
     fixed_point_stream,
-    literal_stream,
     mechanical_stream,
     parse_morphism,
     parse_number,
@@ -93,13 +92,6 @@ def test_stream_prefix_contract():
     assert s.prefix(0) == ""
     with pytest.raises(ValueError):
         s.prefix(-1)
-
-
-def test_literal_stream_bounds():
-    s = literal_stream("0102")
-    assert s.prefix(4) == "0102"
-    with pytest.raises(BoundedOutputError):
-        literal_stream("0102").prefix(5)
 
 
 def test_fixed_point_stream():
@@ -521,6 +513,25 @@ def test_mechanical_streams_start_empty(alpha, rho):
     assert stream.prefix(300) == _floor_word(alpha, rho, 300)
 
 
+def test_other_streams_start_empty():
+    # As for mechanical words: fixed points, their images and billiard
+    # codings take every letter from the pump, the first one included.
+    tribonacci = parse_morphism("0=01,1=02,2=0")
+    d, rho = (rational(1), sqrt(2), sqrt(3)), tuple(map(parse_number, ("1/3", "1/5", "1/7")))
+    streams = [fixed_point_stream(tribonacci, "0"), fibonacci_stream(),
+               apply_stream(tribonacci, fibonacci_stream()), billiard_word(BilliardConfig(d, rho))]
+    assert [stream._buf for stream in streams] == [""] * 4
+    word = "0"
+    while len(word) < 300:
+        word = apply(tribonacci, word)
+    # A tie-free coding: coordinate i crosses at (m - rho_i) / d_i, m >= 1.
+    crossings = sorted((m - r) / v for r, v in zip(rho, d) for m in range(1, 301))
+    letter = {(m - r) / v: str(i) for i, (r, v) in enumerate(zip(rho, d)) for m in range(1, 301)}
+    assert [stream.prefix(300) for stream in streams] == [
+        word[:300], fib_prefix(300), apply(tribonacci, fib_prefix(300))[:300],
+        "".join(letter[t] for t in crossings[:300])]
+
+
 def test_mechanical_irrational_complexity():
     slope = parse_number("(3-sqrt(5))/2")
     w = mechanical_stream(slope, rational(0)).prefix(2000)
@@ -554,9 +565,9 @@ def test_mechanical_range_errors():
 
 
 def test_apply_stream():
-    s = apply_stream(ID2, literal_stream("0101"))
+    s = apply_stream(ID2, fibonacci_stream())
     assert s.source == "morphic-image"
-    assert s.prefix(4) == "0101"
+    assert s.prefix(13) == FIB13
     g = parse_morphism("0=02,1=10,2=")
     image = apply_stream(g, fibonacci_stream()).prefix(40)
     assert image == apply(g, fib_prefix(40))[:40]
@@ -564,20 +575,10 @@ def test_apply_stream():
         apply_stream(parse_morphism("0=,1="), fibonacci_stream()).prefix(1)
 
 
-def test_apply_stream_keeps_the_image_of_a_finite_source():
-    s = apply_stream(parse_morphism("0=0,1=1"), literal_stream("010"))
-    with pytest.raises(BoundedOutputError, match="morphic-image stream ended at 3 letters"):
-        s.prefix(4)
-    assert s.prefix(3) == "010"
-    s = apply_stream(parse_morphism("0=00,1=11"), literal_stream("0101"))
-    assert s.prefix(8) == "00110011"
-    with pytest.raises(BoundedOutputError, match="morphic-image stream ended at 8 letters"):
-        s.prefix(9)
-    assert s.prefix(8) == "00110011"
-
-
 def test_apply_stream_keeps_letters_pumped_before_the_pull_bound():
-    s = apply_stream(parse_morphism("0=,1=1,2=2"), literal_stream("1" + "0" * 200 + "2" * 40))
+    # The source is 1 0^200 2 2 2 ..., the fixed point of 0=2,1=10^200 2,2=2.
+    source = fixed_point_stream(parse_morphism("0=2,1=1" + "0" * 200 + "2,2=2"), "1")
+    s = apply_stream(parse_morphism("0=,1=1,2=2"), source)
     with pytest.raises(BoundedOutputError, match="factor 64"):
         s.prefix(2)
     assert s.prefix(20) == "1" + "2" * 19
