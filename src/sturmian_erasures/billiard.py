@@ -109,19 +109,6 @@ def _lines(times):
     return den, keys, table, firsts, lines, rows, len({v for v, _ in bases})
 
 
-class _Ring:
-    """Reads of need clamped to [256, _CAP] letters of a purely periodic
-    word, from its period repeated: a ring of at most 2*period + _CAP."""
-
-    def __init__(self, word):
-        self.period, self.ring, self.at = len(word), word * (_CAP // len(word) + 2), 0
-
-    def letters(self, need):
-        n = min(max(need, 256), _CAP)
-        at, self.at = self.at, (self.at + n) % self.period
-        return self.ring[at : at + n]
-
-
 class _Crossings:
     """The batches that order the crossings of times = {i: (x_i, y_i)}, with
     lines = _lines(times) when not given, its rows as table[pos] =
@@ -287,9 +274,10 @@ def event_stream(config):
 
 def _coding(times, lines=None):
     """The letters pump of the coding of times = {i: (x_i, y_i)}, lines =
-    _lines(times) when not given: one integer sort of a period (a _Ring)
-    when the coordinates have one direction v and the period has at most
-    _CAP letters, sorted and spelled here, else the batches of _Crossings.
+    _lines(times) when not given: whole periods, at least max(need, 256)
+    letters a call, of one integer sort of a period when the coordinates
+    have one direction v and it has at most _CAP letters, else the batches
+    of _Crossings.
 
     Period.  The crossings of member i with t >= 0 are those with m >= its
     first m: the one before is at -y_i < 0 if y_i > 0, else at -x_i < 0.
@@ -324,7 +312,8 @@ def _coding(times, lines=None):
             tags = sorted(chain(*[range(t, t + 4 * k * span, 4 * k * p)
                                   for i, m, (cls, p, c) in zip(times, firsts, classes)
                                   for t in [4 * (k * (m * p - c) + offsets[cls]) + i]]))
-            return _Ring(bytes(map(mod, tags, repeat(4))).translate(_DIGITS).decode()).letters
+            word = bytes(map(mod, tags, repeat(4))).translate(_DIGITS).decode()
+            return lambda need: word * (max(need, 256) // len(word) + 1)
     return _Crossings(times, lines).letters
 
 
@@ -400,8 +389,9 @@ def mechanical_stream(alpha, rho):
     |s_(n-1)| + |s_(n-2)| for n >= 2: the pieces s_1, t_2, t_3, ... in order
     spell lim s_n = c_a.  t_n is made of s_(n-1), the letters produced
     before it, and s_(n-2), a prefix of them or the letter 0: so a piece is
-    built from letters already produced, and a huge a_n costs only the
-    copies that are read.
+    built from letters already produced.  A pump call takes whole copies of
+    its units, only as many as need asks for, so a huge a_n costs less than
+    one copy past the letters read.
 
     Swap.  Let b = 1 - a and c = 1 - r.  As (n+1)b + c = n+2 - ((n+1)a + r)
     and ceil(-x) = -floor(x), u(n) = ceil((n+1)b + c) - ceil(nb + c) is
@@ -433,26 +423,19 @@ def mechanical_stream(alpha, rho):
         u = _floor_of({key: alpha._den * c for key, c in rho._ints.items()}, rho._den)
         rho = _make({1: 2 * u + 1}, 2 * alpha._den)
     if rho.is_zero():
-        pieces, unit, copies, at = _characteristic(alpha), "", 0, 0
+        pieces, unit, copies = _characteristic(alpha), "", 0
 
         def pump(need):
-            """Exactly need letters: whole copies of a unit at once, and a
-            slice of one where a read starts or ends inside it."""
-            nonlocal unit, copies, at
+            """Whole copies of the units: need letters, or under one unit more."""
+            nonlocal unit, copies
             out = []
-            while need:
+            while need > 0:
                 while not copies:
                     unit, copies = next(pieces)
-                if at or need < len(unit):
-                    piece = unit[at : at + need]
-                    at += len(piece)
-                    if at == len(unit):
-                        at, copies = 0, copies - 1
-                else:
-                    whole = min(copies, need // len(unit))
-                    piece, copies = unit * whole, copies - whole
-                out.append(piece)
-                need -= len(piece)
+                whole = min(copies, -(-need // len(unit)))
+                copies -= whole
+                out.append(unit * whole)
+                need -= len(out[-1])
             return "".join(out)
 
     else:

@@ -4,6 +4,8 @@ Exit status: 0 when the analysis accepts (or simply reports), 1 when a
 verdict refutes or rejects, 2 on usage or input errors; a closed stdout, or a
 reader that closes it early, changes neither the exit code nor stderr.  Words
 are read from the positional argument, from --file, or from standard input.
+A stream closed at start reads or writes as os.devnull: a closed stdin is
+an empty word, and a closed stderr leaves an error's message unwritten.
 Generated prefixes and morphism images are at most MAX_LENGTH (10^7) letters
 long, and `analyze` refuses an input longer than its --length.
 
@@ -430,8 +432,10 @@ def run(argv=None):
 
 
 def main():
-    if sys.stdout is None:  # started with fd 1 closed, as by `wse ... >&-`
-        sys.stdout = open(os.devnull, "w")
+    # Started with fd 0, 1 or 2 closed, as by `wse ... <&-`: use devnull.
+    for name, mode in (("stdin", "r"), ("stdout", "w"), ("stderr", "w")):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, mode))
     raise SystemExit(run())
 
 

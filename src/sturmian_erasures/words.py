@@ -46,9 +46,10 @@ def erase(w, letter):
 class WordStream:
     """Lazily extensible prefix of an infinite word.
 
-    pump(need) returns one or more letters as a string, need being the
-    number still missing.  The buffer starts empty: every letter comes from
-    the pump.
+    pump(need) returns one or more whole units of its word as a string
+    (periods, pieces, batches or images), need being the number of letters
+    still missing, and _read alone cuts them to a prefix.  The buffer
+    starts empty: every letter comes from the pump.
     """
 
     __slots__ = ("source", "_pump", "_buf")

@@ -1,7 +1,9 @@
 """Shared helpers: cached streams, the batches-alone reference for billiard
-codings and a count of their sorts, the Fibonacci numbers, the recoded
-projections of a ternary morphism, and the perturbed two-letter corpus."""
+codings, a count of their sorts and checks of their pumps, the Fibonacci
+numbers, the recoded projections of a ternary morphism, and the perturbed
+two-letter corpus."""
 
+import inspect
 import random
 from functools import lru_cache
 
@@ -40,6 +42,39 @@ def batches_alone(times):
     """_Crossings(times).letters: every letter from a batch, the reference
     for the one integer sort of a period."""
     return _Crossings(times).letters
+
+
+def batches_or_period(pump):
+    """The _Crossings behind a batch pump, or the period word that the pump
+    of one sorted period repeats."""
+    if inspect.ismethod(pump):
+        return pump.__self__
+    return inspect.getclosurevars(pump).nonlocals["word"]
+
+
+def check_pump(stream, check):
+    """Wrap the pump of stream so that check(need, produced, out) runs on
+    every call, produced the number of letters it returned before."""
+    pump, produced = stream._pump, [0]
+
+    def checked(need):
+        out = pump(need)
+        check(need, produced[0], out)
+        produced[0] += len(out)
+        return out
+
+    stream._pump = checked
+
+
+def whole_periods(period):
+    """A pump check: each call returns whole copies of period, need letters
+    or more and at most max(need, 256) + len(period)."""
+
+    def check(need, produced, out):
+        assert out == period * (len(out) // len(period))
+        assert need <= len(out) <= max(need, 256) + len(period)
+
+    return check
 
 
 def fibonacci_numbers(count):

@@ -25,11 +25,11 @@ from sturmian_erasures import (
     wse_verdict,
 )
 import sturmian_erasures.billiard as billiard_module
-from sturmian_erasures.billiard import _config_times, _Crossings, _lines, _Ring
+from sturmian_erasures.billiard import _config_times, _Crossings, _lines
 from sturmian_erasures.exactnum import _make, _sign_of
 from sturmian_erasures.words import WordStream
 
-from conftest import batches_alone, sort_sizes
+from conftest import batches_alone, batches_or_period, check_pump, sort_sizes, whole_periods
 
 THETA = parse_number("(1+sqrt(5))/2")
 GOLDEN = BilliardConfig(
@@ -830,8 +830,8 @@ def test_classify_matches_the_ratio_reference(seed):
             whole = [int(r * math.lcm(*(r.denominator for r in ratios))) for r in ratios]
             letters = sum(whole) // math.gcd(*whole)
             # One sort of a period of at most 4096 letters, else the batches.
-            assert isinstance(owner, _Ring if letters <= 4096 else _Crossings), config
-            assert letters > 4096 or owner.period == letters, config
+            assert isinstance(owner, str if letters <= 4096 else _Crossings), config
+            assert letters > 4096 or len(owner) == letters, config
         else:
             assert isinstance(owner, _Crossings), config
 
@@ -914,9 +914,9 @@ def _chunked(prefix):
 
 
 def _owner(stream):
-    """The _Ring (one integer sort) or _Crossings whose letters a billiard
-    stream's pump reads."""
-    return stream._pump.__self__
+    """The period word (one integer sort) or _Crossings whose letters a
+    billiard stream's pump reads."""
+    return batches_or_period(stream._pump)
 
 
 SINGLE_CLASS_IDS = [*range(len(SINGLE_CLASS)),
@@ -930,8 +930,8 @@ def test_single_class_words_match_the_reference(config, whole, monkeypatch):
     word = "".join("".join(map(str, e.omega)) for e in expected)[:length]
     stream = billiard_word(config)
     # Every one-direction coding of a period of at most 4096 letters is one sort.
-    assert isinstance(_owner(stream), _Ring)
-    assert _owner(stream).period == sum(whole) <= length // 3
+    assert isinstance(_owner(stream), str)
+    assert len(_owner(stream)) == sum(whole) <= length // 3
     with monkeypatch.context() as patch:
         sizes = sort_sizes(patch)
         assert _chunked(stream.prefix) == word
@@ -949,7 +949,7 @@ def test_single_class_words_match_the_reference(config, whole, monkeypatch):
 @pytest.mark.parametrize("config, whole", SINGLE_CLASS + ONE_DIRECTION, ids=SINGLE_CLASS_IDS)
 def test_single_class_period_and_classification(config, whole):
     assert classify(config) in ("Periodic", "Degenerate")
-    assert _owner(billiard_word(config)).period == sum(whole)
+    assert len(_owner(billiard_word(config))) == sum(whole)
     assert math.gcd(*whole) == 1 and sum(whole) > 0
 
 
@@ -970,15 +970,27 @@ def test_periodic_streams_order_one_period(config, period, monkeypatch):
     sizes = sort_sizes(monkeypatch)
     stream = billiard_word(config)
     assert sizes == [1, period]
-    assert _owner(stream).period == period
+    assert len(_owner(stream)) == period
+    # Every pump call returns whole periods, at most max(need, 256) + period.
+    check_pump(stream, whole_periods(_owner(stream)))
     word = stream.prefix(10**6)
     assert sizes == [1, period]
     assert word == word[:period] * (10**6 // period) + word[: 10**6 % period]
     assert word[: 3 * period] == ordinary
-    # The ring holds the period and at most one batch cap of letters past it.
-    assert len(_owner(stream).ring) <= 2 * period + 4096
     stream.prefix(2 * 10**6)
     assert sizes == [1, period]
+
+
+def test_periodic_pump_returns_whole_periods():
+    # Reads of 1, 7, 64, 300 and 5000 letters end anywhere in a period of
+    # three line classes: every pump call returns need letters or more, in
+    # whole periods, and WordStream._read alone cuts the prefix.
+    config = _config(["1", "2", "3"], ["sqrt(3)/3", "sqrt(2)/2", "0"])
+    stream, word = billiard_word(config), ""
+    check_pump(stream, whole_periods(_owner(stream)))
+    for size in (1, 7, 64, 300, 5000):
+        word = stream.prefix(len(word) + size)
+    assert word == _event_word(config, len(word))
 
 
 @pytest.mark.parametrize("d", [
@@ -1042,7 +1054,7 @@ def test_integer_path_matches_the_batches_and_exact_events(config, period):
     # against the batches alone and one exactly ordered event at a time.
     length = max(2 * period + 301, sum(CHUNKS))
     stream = billiard_word(config)
-    assert isinstance(_owner(stream), _Ring) and _owner(stream).period == period
+    assert isinstance(_owner(stream), str) and len(_owner(stream)) == period
     word = ""
     for size in itertools.cycle(CHUNKS):
         if len(word) >= length:

@@ -475,18 +475,41 @@ def test_closed_stdout_ends_quietly(fmt):
     assert (proc.returncode, err) == (0, b"")
 
 
+def _run_closed(fd, *args):
+    """Run wse with file descriptor fd closed at start: the exit code and
+    the bytes on stdout and on stderr (None when fd is 2)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sturmian_erasures.cli", *args],
+        stdout=subprocess.PIPE, stderr=None if fd == 2 else subprocess.PIPE, timeout=60,
+        preexec_fn=lambda: os.close(fd), env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_stdout_closed_at_start_ends_quietly(fmt):
     """Started with fd 1 closed, as by `wse ... >&-`, a command exits 0 and
     writes nothing to stderr."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sturmian_erasures.cli", "billiard", "code",
-         "--d", "1,sqrt(2),sqrt(3)", "--rho", "0,0,0", "--length", "50", "--format", fmt],
-        stderr=subprocess.PIPE, timeout=60, preexec_fn=lambda: os.close(1),
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    code, _, err = _run_closed(1, "billiard", "code", "--d", "1,sqrt(2),sqrt(3)", "--rho", "0,0,0",
+                               "--length", "50", "--format", fmt)
+    assert (code, err) == (0, b"")
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["analyze", "wse"], (2, b"", b"error: empty input word\n")),
+    (["word", "erase", "--letter", "0"], (0, b"\n", b"")),
+])
+def test_stdin_closed_at_start_reads_as_empty(args, expected):
+    """Started with fd 0 closed, as by `wse ... <&-`, a command reads the
+    empty word, as from /dev/null."""
+    assert _run_closed(0, *args) == expected
+
+
+def test_stderr_closed_at_start_keeps_errors_out_of_stdout():
+    """Started with fd 2 closed, an input error still exits 2, and its
+    message is written nowhere: stdout stays empty."""
+    assert _run_closed(2, "analyze", "wse", "0a") == (2, b"", None)
 
 
 def test_closed_stdout_keeps_the_verdict_exit_code():

@@ -35,7 +35,15 @@ import sturmian_erasures.exactnum as exactnum
 import sturmian_erasures.words as words_module
 from sturmian_erasures.morphisms import ID2, PHI, Morphism, compose
 
-from conftest import batches_alone, fib_prefix, fibonacci_numbers, sort_sizes
+from conftest import (
+    batches_alone,
+    batches_or_period,
+    check_pump,
+    fib_prefix,
+    fibonacci_numbers,
+    sort_sizes,
+    whole_periods,
+)
 
 FIB13 = "0100101001001"
 
@@ -364,15 +372,11 @@ def test_characteristic_word_of_a_tiny_slope_reads_in_bounded_pieces():
     # s_1 = 0^(a_1 - 1) 1 with a_1 about 7*10**27 is only ever read in part:
     # no pump call returns more than it was asked for and the letters before.
     stream = mechanical_stream(parse_number(TINY), rational(0))
-    pump, produced = stream._pump, [0]
 
-    def bounded(need):
-        chunk = pump(need)
-        assert len(chunk) <= need + produced[0]
-        produced[0] += len(chunk)
-        return chunk
+    def bounded(need, produced, chunk):
+        assert len(chunk) <= need + produced
 
-    stream._pump = bounded
+    check_pump(stream, bounded)
     start, word = time.perf_counter(), ""
     while len(word) < 20000:
         word = stream.prefix(len(word) + 64)
@@ -386,8 +390,8 @@ def test_rational_slopes_from_zero_stay_on_the_billiard(monkeypatch):
     alpha = parse_number("5/13")
     stream = mechanical_stream(alpha, rational(0))
     assert stream.prefix(100) == _floor_word(alpha, rational(0), 100)
-    assert isinstance(_letters_of(stream), billiard_module._Ring)
-    assert _letters_of(stream).period == 13
+    assert isinstance(_letters_of(stream), str)
+    assert len(_letters_of(stream)) == 13
 
 
 def _rational_mechanical_corpus(seed, count):
@@ -410,9 +414,9 @@ RATIONAL_MECHANICAL = list(_rational_mechanical_corpus(2302, 16)) + [
 
 
 def _letters_of(stream):
-    """The _Ring (one integer sort) or _Crossings whose letters a mechanical
-    stream's pump reads."""
-    return inspect.getclosurevars(stream._pump).nonlocals["letters"].__self__
+    """The period word (one integer sort) or _Crossings whose letters a
+    mechanical stream's pump reads."""
+    return batches_or_period(inspect.getclosurevars(stream._pump).nonlocals["letters"])
 
 
 @pytest.mark.parametrize("p, q, u", RATIONAL_MECHANICAL)
@@ -422,8 +426,8 @@ def test_rational_mechanical_words_repeat_their_period(p, q, u, monkeypatch):
     alpha, rho = rational(p) / q, parse_number(u) if isinstance(u, str) else rational(u) / q
     expected = _floor_word(alpha, rho, 5364)
     stream = mechanical_stream(alpha, rho)
-    assert isinstance(_letters_of(stream), billiard_module._Ring if q <= 4096 else billiard_module._Crossings)
-    assert q > 4096 or _letters_of(stream).period == q
+    assert isinstance(_letters_of(stream), str if q <= 4096 else billiard_module._Crossings)
+    assert q > 4096 or len(_letters_of(stream)) == q
     word = ""
     with monkeypatch.context() as patch:
         sizes = sort_sizes(patch)
@@ -444,11 +448,38 @@ def test_rational_mechanical_orders_one_batch(monkeypatch):
     sizes = sort_sizes(monkeypatch)
     stream = mechanical_stream(parse_number("5/13"), parse_number("1/13"))
     assert sizes == [1, 13]
+    period = _floor_word(rational(5) / 13, rational(1) / 13, 13)
+    # Every pump call returns whole periods, at most max(need, 256) + 13.
+    check_pump(stream, whole_periods(period))
     word = stream.prefix(10**6)
     assert sizes == [1, 13]
-    period = _floor_word(rational(5) / 13, rational(1) / 13, 13)
     assert word == (period * (10**6 // 13 + 1))[: 10**6]
-    assert len(_letters_of(stream).ring) <= 2 * 13 + 4096
+
+
+@pytest.mark.parametrize("alpha, rho", [
+    ("5/13", "1/13"), ("(3-sqrt(5))/2", "0"), ("sqrt(19)-4", "0"), (TINY, "0"),
+])
+def test_mechanical_pumps_return_whole_units(alpha, rho):
+    # Reads of 1, 7, 64, 300 and 5000 letters: every pump call returns need
+    # letters or more, in whole periods or whole copies of the units of the
+    # characteristic word, and WordStream._read alone cuts the prefix.
+    alpha, rho = parse_number(alpha), parse_number(rho)
+    stream, word = mechanical_stream(alpha, rho), ""
+    if alpha.is_rational():
+        check_pump(stream, whole_periods(_floor_word(alpha, rho, len(_letters_of(stream)))))
+    else:
+        pump = stream._pump
+
+        def check(need, produced, out):
+            # Under one unit past need, and a unit is made of letters
+            # produced before it (the first, "0", of none).
+            unit = inspect.getclosurevars(pump).nonlocals["unit"]
+            assert need <= len(out) < need + len(unit) <= 2 * need + produced
+
+        check_pump(stream, check)
+    for size in (1, 7, 64, 300, 5000):
+        word = stream.prefix(len(word) + size)
+    assert word == _floor_word(alpha, rho, len(word))
 
 
 def _start_rule_corpus(seed, count):
@@ -490,7 +521,7 @@ def test_rational_slopes_depend_on_rho_only_through_floor_q_rho(p, q):
         stream, word = mechanical_stream(rational(p) / q, rho), ""
         letters = _letters_of(stream)
         if q <= 4096:
-            assert isinstance(letters, billiard_module._Ring) and letters.period == q
+            assert isinstance(letters, str) and len(letters) == q
         else:
             assert isinstance(letters, billiard_module._Crossings) and letters.width() == 0
         for size in itertools.cycle((1, 63, 300, 5000)):
